@@ -17,13 +17,17 @@ call per query:
   multiline);
 * *fuse* (:func:`evaluate_plans`) concatenates the curve arrays of many
   plans bound to the same model, so a whole coalesced serving batch
-  dispatches as a single vectorized evaluation.
+  dispatches as a single array evaluation.
 
-The contract, enforced by golden tests: for every query list, the
-vectorized result is **byte-identical** to the scalar reference
-(:func:`predict_one` applied per query) — same IEEE-754 arithmetic
-(one multiply, one add, same operand order), same defaults, same error
-message on the first invalid query.  The speedup is therefore a pure
+The compiled plan is the serving layer's only predict evaluator and
+validator.  The contract, enforced by golden tests: for every query
+list, the plan's result is **byte-identical** to the scalar reference
+(:func:`predict_one` applied per query, the test oracle) — same IEEE-754
+arithmetic (one multiply, one add, same operand order), same defaults,
+same messages.  Errors surface structural-first: :func:`compile_queries`
+rejects the first structurally invalid query (unknown metric or
+location, bad count) before :meth:`PredictPlan.check` reports the first
+query the fitted model cannot answer.  The speedup is therefore a pure
 implementation win, never a semantics change; docs/PERFORMANCE.md
 derives where it comes from and when it saturates.
 """
@@ -55,11 +59,16 @@ _LOCATIONS = "local|tile|remote|memory"
 
 
 def _positive_int(mapping: Mapping, field_name: str) -> int:
-    """Scalar path's integer validation, verbatim (same messages)."""
+    """A count field as a positive integer that fits a float64.
+
+    The compiled plan evaluates counts as float64 arrays, so a count
+    beyond the float range (a JSON integer of hundreds of digits) is a
+    validation error, not an overflow mid-evaluation.
+    """
     value = mapping.get(field_name)
     try:
         value = int(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ModelError(
             f"{field_name!r} must be a positive integer, got {value!r}"
         ) from e
@@ -67,6 +76,14 @@ def _positive_int(mapping: Mapping, field_name: str) -> int:
         raise ModelError(
             f"{field_name!r} must be a positive integer, got {value}"
         )
+    try:
+        float(value)
+    except OverflowError as e:
+        # Formatting the value would overflow (or flood) the message.
+        raise ModelError(
+            f"{field_name!r} must fit a float64, got an integer of "
+            f"{value.bit_length()} bits"
+        ) from e
     return value
 
 
@@ -76,9 +93,9 @@ def _positive_int(mapping: Mapping, field_name: str) -> int:
 def predict_one(cap: CapabilityModel, query: Any) -> dict:
     """Scalar reference evaluation of one predict query.
 
-    This is the pre-vectorization hot loop, kept as the semantic ground
-    truth: the golden tests pin :meth:`PredictPlan.evaluate` output
-    byte-identical to a per-query loop over this function.
+    The test oracle, not a serving path: the golden tests pin
+    :meth:`PredictPlan.evaluate` output byte-identical to a per-query
+    loop over this function.
     """
     if not isinstance(query, Mapping):
         raise ModelError("each query must be a JSON object")
@@ -438,7 +455,7 @@ def evaluate_plan_values(
     The curve families (contention, multiline) of every plan are
     concatenated and computed in one ``alpha + beta * n`` array
     operation, then split back per plan — this is how a coalesced
-    serving batch of distinct requests dispatches as *one* vectorized
+    serving batch of distinct requests dispatches as *one* array
     evaluation.  Point-value gathers stay per-plan (they are a dozen
     table entries each).  The split-back is pure bookkeeping: each
     query's value is computed with exactly the per-plan arithmetic
@@ -547,7 +564,7 @@ def multiline_curve(
 
 def latency_table(cap: CapabilityModel) -> Dict[str, float]:
     """Every point latency the model can answer, as one flat mapping
-    (``location/state-or-kind`` → ns) — the gather table the vectorized
+    (``location/state-or-kind`` → ns) — the gather table the compiled
     predict path indexes into."""
     out: Dict[str, float] = {"local": cap.RL}
     for st, v in cap.r_tile.items():

@@ -29,20 +29,22 @@ deadline → 504; per-query model errors → 400; anything unexpected →
 ``serve.batch.assemble`` / ``serve.batch.evaluate`` spans, so a traced
 server run shows exactly how queries coalesced.
 
-``/v1/predict`` bodies additionally compile to
+``/v1/predict`` bodies compile to
 :class:`~repro.model.vector.PredictPlan` objects — cached by the same
 content key the batcher dedups on — and a coalesced batch of distinct
 predict requests against one artifact evaluates as **one** fused NumPy
-sweep (:func:`~repro.model.vector.evaluate_plans`) inside a
-``serve.vector.evaluate`` span, instead of a Python loop per query.
-The vector path is byte-identical to the scalar loop (golden-tested);
-``--no-vector`` keeps the scalar evaluator as the A/B baseline.
+sweep (:func:`~repro.model.vector.evaluate_plan_values`) inside a
+``serve.vector.evaluate`` span.  The compiled plan is the only predict
+evaluator and validator: a body that does not compile answers 400 with
+the compiler's error.  Its answers are byte-identical to the scalar
+reference :func:`~repro.model.vector.predict_one` (golden-tested).
 docs/PERFORMANCE.md derives the win and when it saturates.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -55,6 +57,7 @@ from repro.model.advisor import BufferSpec, recommend_placement
 from repro.model.parameters import CapabilityModel
 from repro.model.vector import (
     PredictPlan,
+    _positive_int,
     compile_queries,
     evaluate_plan_values,
 )
@@ -66,8 +69,8 @@ from repro.serve.protocol import (
     ProtocolError,
     Request,
     Response,
-    read_request,
-    write_response,
+    content_key,
+    serve_connection,
 )
 from repro.units import GIB
 from repro._version import __version__
@@ -106,11 +109,6 @@ class ServeConfig:
     #: the unbatched A/B twin so the baseline is a true per-request
     #: server, not batching-with-benefits.
     dedup: bool = True
-    #: Evaluate ``/v1/predict`` through compiled vector plans (one NumPy
-    #: sweep per coalesced batch).  Off = the scalar per-query loop, the
-    #: ``--bench-vector`` A/B baseline.  Output is byte-identical either
-    #: way; only the cost changes.
-    vectorize: bool = True
     deadlines: Dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_DEADLINES)
     )
@@ -170,17 +168,17 @@ class _PlanEntry:
         config_label: str,
         machine_name: Optional[str],
         values: "np.ndarray",
-    ) -> Optional[bytes]:
-        """Response body bytes, byte-identical to the scalar path's
+    ) -> bytes:
+        """Response body bytes, byte-identical to
         ``json.dumps(payload, sort_keys=True)`` — key order, separators
-        and float repr all match.  Returns ``None`` for non-finite
-        values (whose JSON spelling differs from ``repr``); the caller
-        then falls back to the dict-assembly encoder.
+        and float spelling all match.  Finite values take ``repr``
+        (what ``json.dumps`` emits for them); a vector holding a
+        non-finite value spells every value through ``json.dumps``
+        (``NaN``, ``Infinity``), the rare slow case.
         """
         import json as _json
 
-        if not np.isfinite(values).all():
-            return None
+        spell = repr if np.isfinite(values).all() else _json.dumps
         parts = ['{"config_label": ', _json.dumps(config_label)]
         if machine_name is not None:
             parts.append(', "machine": ')
@@ -188,7 +186,7 @@ class _PlanEntry:
         parts.append(', "results": [')
         for segment, value in zip(self.segments, values.tolist()):
             parts.append(segment)
-            parts.append(repr(value))
+            parts.append(spell(value))
         parts.append("}]}")
         return "".join(parts).encode()
 
@@ -271,7 +269,11 @@ class ServeApp:
         """Bind and start accepting; returns ``(host, port)`` with the
         ephemeral port resolved."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            functools.partial(
+                serve_connection, dispatch=self._dispatch, owner=self
+            ),
+            self.config.host,
+            self.config.port,
         )
         self._started_at = time.monotonic()
         return self.config.host, self.port
@@ -379,50 +381,6 @@ class ServeApp:
             }
         )
 
-    # -- connection loop ----------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._conn_writers.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except ProtocolError as e:
-                    await write_response(
-                        writer,
-                        Response.error(e.status, str(e)),
-                        keep_alive=False,
-                    )
-                    break
-                if request is None:
-                    break
-                self._active_requests += 1
-                try:
-                    response = await self._dispatch(request)
-                finally:
-                    self._active_requests -= 1
-                await write_response(
-                    writer, response, keep_alive=request.keep_alive
-                )
-                if not request.keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer went away mid-exchange; nothing to answer
-        except asyncio.CancelledError:
-            # Server shutdown cancels in-flight connection tasks; end
-            # quietly instead of tripping the stream protocol's
-            # exception-retrieval callback.
-            pass
-        finally:
-            self._conn_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError, asyncio.CancelledError):
-                pass
-
     # -- dispatch -----------------------------------------------------------
 
     async def _dispatch(self, request: Request) -> Response:
@@ -489,17 +447,10 @@ class ServeApp:
         )
 
     async def _query(self, route: str, request: Request) -> Response:
-        # Dedup key: SHA-256 of the raw endpoint+body bytes.  Hashing
-        # the wire form (not a canonicalized parse) keeps the hot path
-        # at microseconds per request; byte-identical queries — the
-        # coalescing case that matters — always collide, and a client
-        # that reorders its JSON keys merely forgoes the dedup.  The
-        # body is parsed once per *unique* query, in the evaluator.
-        import hashlib
-
-        key = hashlib.sha256(
-            route.encode() + b"\0" + request.body
-        ).hexdigest()
+        # Dedup key: the raw wire bytes' content key.  Byte-identical
+        # queries — the coalescing case that matters — always collide;
+        # the body is parsed once per *unique* query, in the evaluator.
+        key = content_key(route, request.body)
         # ``ck`` rides along because the batcher rewrites its own key
         # under dedup=False; the plan cache must always see the true
         # content key.
@@ -550,66 +501,31 @@ class ServeApp:
         arithmetic for every query in one worker thread so the event
         loop keeps answering ``/healthz`` under load.
         """
-        import json as _json
-
         artifacts: Dict[str, Artifact] = {}
         bodies: Dict[str, Dict[str, Any]] = {}
         errors: Dict[str, _Outcome] = {}
         plans: Dict[str, _PlanEntry] = {}
-        vectorize = self.config.vectorize
         with span("serve.batch.assemble", category="serve", size=len(batch)):
             for key, item in batch.items():
-                if vectorize and item["endpoint"] == "/v1/predict":
-                    # Plan-cache hit: the request's bytes were seen
-                    # before, so the compiled plan already carries the
-                    # routing fields — no json.loads of the body at all.
-                    entry = self._plan_hit(item.get("ck", key))
+                ck = item.get("ck", key)
+                entry = (
+                    self._plan_hit(ck)
+                    if item["endpoint"] == "/v1/predict"
+                    else None
+                )
+                try:
                     if entry is not None:
-                        try:
-                            artifacts[key] = await self._artifact_for(
-                                entry.machine,
-                                entry.config,
-                                item.get("ck", key),
-                            )
-                            plans[key] = entry
-                        except ProtocolError as e:
-                            errors[key] = _error_outcome(e.status, str(e))
-                        except ReproError as e:
-                            errors[key] = _error_outcome(400, str(e))
-                        except Exception as e:  # noqa: BLE001 — fit blew up
-                            counter("serve.errors").inc()
-                            errors[key] = _error_outcome(
-                                500, f"artifact fit failed: {e}"
-                            )
-                        continue
-                try:
-                    body = _json.loads(item["raw"]) if item["raw"] else None
-                except ValueError as e:
-                    errors[key] = _error_outcome(
-                        400, f"request body is not valid JSON: {e}"
-                    )
-                    continue
-                if not isinstance(body, dict):
-                    errors[key] = _error_outcome(
-                        400, "request body must be a JSON object"
-                    )
-                    continue
-                bodies[key] = body
-                if (
-                    body.get("machine") is not None
-                    and body.get("config") is not None
-                ):
-                    errors[key] = _error_outcome(
-                        400, "'machine' and 'config' are mutually "
-                             "exclusive; name a catalog preset or "
-                             "describe a raw config, not both"
-                    )
-                    continue
-                try:
+                        # Plan-cache hit: the request's bytes were seen
+                        # before, so the compiled plan already carries
+                        # the routing fields — no json.loads at all.
+                        plans[key] = entry
+                        machine, config = entry.machine, entry.config
+                    else:
+                        body = bodies[key] = _parse_body(item["raw"])
+                        machine = body.get("machine")
+                        config = body.get("config")
                     artifacts[key] = await self._artifact_for(
-                        body.get("machine"),
-                        body.get("config"),
-                        item.get("ck", key),
+                        machine, config, ck
                     )
                 except ProtocolError as e:
                     errors[key] = _error_outcome(e.status, str(e))
@@ -627,25 +543,27 @@ class ServeApp:
             for key, item in batch.items():
                 if key in out:
                     continue
-                entry = plans.get(key)
-                if (
-                    entry is None
-                    and vectorize
-                    and item["endpoint"] == "/v1/predict"
-                ):
-                    entry = self._plan_compile(
-                        item.get("ck", key), bodies[key]
+                if item["endpoint"] != "/v1/predict":
+                    out[key] = self._evaluate_one(
+                        item["endpoint"], bodies[key], artifacts[key]
                     )
-                    if entry is None:
-                        # Compile refused (invalid queries): the scalar
-                        # path below produces the exact scalar error.
-                        counter("serve.vector.fallbacks").inc()
-                if entry is not None:
-                    vector.append((key, entry, artifacts[key]))
                     continue
-                out[key] = self._evaluate_one(
-                    item["endpoint"], bodies[key], artifacts[key]
-                )
+                entry = plans.get(key)
+                if entry is None:
+                    try:
+                        entry = self._plan_compile(
+                            item.get("ck", key), bodies[key]
+                        )
+                    except ModelError as e:
+                        out[key] = _error_outcome(400, str(e))
+                        continue
+                    except Exception as e:  # noqa: BLE001 — isolate body
+                        counter("serve.errors").inc()
+                        out[key] = _error_outcome(
+                            500, f"internal error: {e}"
+                        )
+                        continue
+                vector.append((key, entry, artifacts[key]))
             if vector:
                 self._evaluate_vector(vector, out)
             return out
@@ -671,7 +589,7 @@ class ServeApp:
             config_from_json(config), content_key
         )
 
-    # -- vectorized predict path --------------------------------------------
+    # -- compiled predict path ----------------------------------------------
 
     def _plan_hit(self, content_key: str) -> Optional[_PlanEntry]:
         entry = self._plan_cache.get(content_key)
@@ -679,25 +597,17 @@ class ServeApp:
             counter("serve.vector.plan_cache.hits").inc()
         return entry
 
-    def _plan_compile(
-        self, content_key: str, body: Mapping
-    ) -> Optional[_PlanEntry]:
+    def _plan_compile(self, content_key: str, body: Mapping) -> _PlanEntry:
         """Compile a predict body into a cached :class:`_PlanEntry`.
 
-        Returns ``None`` when the queries don't compile (any validation
-        error): the caller falls back to the scalar evaluator, which
-        raises exactly the error the scalar path always raised — the
-        vector path never invents its own error surface.
+        Raises the compiler's :class:`~repro.errors.ModelError` for a
+        body whose queries do not compile; nothing is cached then.
         """
-        entry = self._plan_cache.get(content_key)
+        entry = self._plan_hit(content_key)
         if entry is not None:
-            counter("serve.vector.plan_cache.hits").inc()
             return entry
         counter("serve.vector.plan_cache.misses").inc()
-        try:
-            plan = compile_queries(body.get("queries"))
-        except ModelError:
-            return None
+        plan = compile_queries(body.get("queries"))
         entry = _PlanEntry(plan, body.get("machine"), body.get("config"))
         self._plan_cache.put(content_key, entry)
         return entry
@@ -715,8 +625,8 @@ class ServeApp:
         value vectors render straight into response bytes through the
         plans' pre-built JSON skeletons.  A plan the artifact's model
         cannot answer (unfitted state/kind/location) answers with the
-        scalar path's exact first error, reproduced by
-        :meth:`~repro.model.vector.PredictPlan.check`.
+        first such error, as :meth:`~repro.model.vector.PredictPlan.check`
+        raises it.
         """
         groups: "OrderedDict[str, List[Tuple[str, _PlanEntry, Artifact]]]"
         groups = OrderedDict()
@@ -743,10 +653,6 @@ class ServeApp:
                 try:
                     entry.plan.check(cap)
                 except ModelError as e:
-                    # check() raises exactly the scalar path's first
-                    # error (message and ordering), so this 400 is
-                    # byte-identical to the scalar response.
-                    counter("serve.vector.fallbacks").inc()
                     out[key] = _error_outcome(400, str(e))
                     continue
                 ready.append((key, entry))
@@ -768,29 +674,15 @@ class ServeApp:
             histogram("serve.vector.fused_queries").observe(n_queries)
             for (key, entry), vals in zip(ready, values):
                 body = entry.render(cap.config_label, artifact.machine, vals)
-                if body is not None:
-                    entry.rendered = (artifact.identity, body)
-                    out[key] = _Outcome(
-                        status=200, payload=None, _body=body
-                    )
-                    continue
-                # Non-finite values: repr() and JSON disagree on the
-                # spelling, so take the dict-assembly encoder.
-                payload = {
-                    "config_label": cap.config_label,
-                    "results": entry.plan.results(vals),
-                }
-                if artifact.machine is not None:
-                    payload["machine"] = artifact.machine
-                out[key] = _Outcome(status=200, payload=payload)
+                entry.rendered = (artifact.identity, body)
+                out[key] = _Outcome(status=200, payload=None, _body=body)
 
     def _evaluate_one(
         self, endpoint: str, body: Mapping, artifact: Artifact
     ) -> _Outcome:
+        """Answer one ``/v1/advise`` or ``/v1/tune`` body."""
         try:
-            if endpoint == "/v1/predict":
-                payload = _handle_predict(artifact.capability, body)
-            elif endpoint == "/v1/advise":
+            if endpoint == "/v1/advise":
                 payload = _handle_advise(artifact.capability, body)
             else:
                 payload = _handle_tune(
@@ -817,66 +709,25 @@ def _error_outcome(status: int, message: str) -> _Outcome:
     )
 
 
-# -- endpoint handlers (pure: capability model in, JSON out) ----------------
+def _parse_body(raw: bytes) -> Dict[str, Any]:
+    """The request's JSON object; :class:`ProtocolError` (400) otherwise."""
+    import json as _json
 
-
-def _handle_predict(cap: CapabilityModel, body: Mapping) -> dict:
-    queries = body.get("queries")
-    if not isinstance(queries, list) or not queries:
-        raise ProtocolError("predict needs a non-empty 'queries' list")
-    results = [_predict_one(cap, q) for q in queries]
-    return {"config_label": cap.config_label, "results": results}
-
-
-def _predict_one(cap: CapabilityModel, query: Any) -> dict:
-    if not isinstance(query, Mapping):
-        raise ProtocolError("each query must be a JSON object")
-    metric = query.get("metric")
-    if metric == "latency":
-        location = query.get("location", "memory")
-        state = query.get("state", "M")
-        if location == "local":
-            value = cap.RL
-        elif location == "tile":
-            if state not in cap.r_tile:
-                raise ProtocolError(
-                    f"no tile latency for state {state!r}; "
-                    f"have {sorted(cap.r_tile)}"
-                )
-            value = cap.r_tile[state]
-        elif location == "remote":
-            if state not in cap.r_remote:
-                raise ProtocolError(
-                    f"no remote latency for state {state!r}; "
-                    f"have {sorted(cap.r_remote)}"
-                )
-            value = cap.r_remote[state]
-        elif location == "memory":
-            value = cap.RI_kind(query.get("kind", "ddr"))
-        else:
-            raise ProtocolError(
-                f"latency location must be local|tile|remote|memory, "
-                f"got {location!r}"
-            )
-        return {"metric": metric, "value": value, "unit": "ns"}
-    if metric == "bandwidth":
-        value = cap.bw(
-            query.get("op", "copy"),
-            query.get("kind", "ddr"),
-            peak=bool(query.get("peak", False)),
+    try:
+        body = _json.loads(raw) if raw else None
+    except (ValueError, RecursionError) as e:  # RecursionError: deep nesting
+        raise ProtocolError(f"request body is not valid JSON: {e}") from e
+    if not isinstance(body, dict):
+        raise ProtocolError("request body must be a JSON object")
+    if body.get("machine") is not None and body.get("config") is not None:
+        raise ProtocolError(
+            "'machine' and 'config' are mutually exclusive; name a "
+            "catalog preset or describe a raw config, not both"
         )
-        return {"metric": metric, "value": value, "unit": "GB/s"}
-    if metric == "contention":
-        n = _positive_int(query, "n")
-        return {"metric": metric, "value": cap.T_C(n), "unit": "ns"}
-    if metric == "multiline":
-        nbytes = _positive_int(query, "bytes")
-        value = cap.multiline_ns(query.get("location", "remote"), nbytes)
-        return {"metric": metric, "value": value, "unit": "ns"}
-    raise ProtocolError(
-        f"metric must be latency|bandwidth|contention|multiline, "
-        f"got {metric!r}"
-    )
+    return body
+
+
+# -- endpoint handlers (pure: capability model in, JSON out) ----------------
 
 
 def _handle_advise(cap: CapabilityModel, body: Mapping) -> dict:
@@ -994,21 +845,6 @@ def _tune_barrier_measured(
     }
 
 
-def _positive_int(mapping: Mapping, field_name: str) -> int:
-    value = mapping.get(field_name)
-    try:
-        value = int(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as e:
-        raise ProtocolError(
-            f"{field_name!r} must be a positive integer, got {value!r}"
-        ) from e
-    if value < 1:
-        raise ProtocolError(
-            f"{field_name!r} must be a positive integer, got {value}"
-        )
-    return value
-
-
 # -- CLI: `repro serve` ------------------------------------------------------
 
 
@@ -1047,12 +883,6 @@ def build_serve_parser():
     batching.add_argument(
         "--no-batching", action="store_true",
         help="disable coalescing (window 0, batch size 1)",
-    )
-    batching.add_argument(
-        "--no-vector", action="store_true",
-        help="evaluate /v1/predict with the scalar per-query loop "
-             "instead of compiled vector plans (the --bench-vector A/B "
-             "baseline; responses are byte-identical either way)",
     )
     admission = p.add_argument_group("admission control")
     admission.add_argument(
@@ -1108,7 +938,6 @@ def _config_from_args(args) -> ServeConfig:
             host=args.host,
             port=args.port,
             queue_limit=args.queue_limit,
-            vectorize=not args.no_vector,
             deadlines=deadlines,
             iterations=args.iterations,
             seed=args.seed,
@@ -1121,7 +950,6 @@ def _config_from_args(args) -> ServeConfig:
         window_s=args.window_ms / 1e3,
         max_batch=args.batch_cap,
         queue_limit=args.queue_limit,
-        vectorize=not args.no_vector,
         deadlines=deadlines,
         iterations=args.iterations,
         seed=args.seed,

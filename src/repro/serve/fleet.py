@@ -38,7 +38,7 @@ is only 200 while at least one worker is up.
 from __future__ import annotations
 
 import asyncio
-import hashlib
+import functools
 import json
 import signal
 import time
@@ -51,11 +51,10 @@ from repro.runtime.pool import _mp_context
 from repro.runtime.supervisor import RetryPolicy
 from repro.serve.app import DEFAULT_DEADLINES, ServeApp, ServeConfig
 from repro.serve.protocol import (
-    ProtocolError,
     Request,
     Response,
-    read_request,
-    write_response,
+    content_key,
+    serve_connection,
 )
 from repro.serve.router import HashRing, WorkerClient
 from repro._version import __version__
@@ -243,7 +242,11 @@ class Fleet:
             await self.stop()
             raise ReproError(f"worker(s) failed to boot: {failed}")
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            functools.partial(
+                serve_connection, dispatch=self._dispatch, owner=self
+            ),
+            self.config.host,
+            self.config.port,
         )
         self._health_task = asyncio.create_task(self._health_loop())
         return self.config.host, self.port
@@ -443,45 +446,6 @@ class Fleet:
             self._declare_down(fresh, "restart failed to boot")
 
     # -- proxying -----------------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._conn_writers.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except ProtocolError as e:
-                    await write_response(
-                        writer,
-                        Response.error(e.status, str(e)),
-                        keep_alive=False,
-                    )
-                    break
-                if request is None:
-                    break
-                self._active_requests += 1
-                try:
-                    response = await self._dispatch(request)
-                finally:
-                    self._active_requests -= 1
-                await write_response(
-                    writer, response, keep_alive=request.keep_alive
-                )
-                if not request.keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._conn_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError, asyncio.CancelledError):
-                pass
 
     async def _dispatch(self, request: Request) -> Response:
         counter("serve.fleet.requests").inc()
@@ -738,9 +702,7 @@ class Fleet:
 
     async def _forward(self, request: Request) -> Response:
         """Relay one POST to the content key's owner, rerouting once."""
-        key = hashlib.sha256(
-            request.route.encode() + b"\0" + request.body
-        ).hexdigest()
+        key = content_key(request.route, request.body)
         deadline = self.config.worker.deadlines.get(
             request.route, DEFAULT_DEADLINES.get(request.route, 30.0)
         )
@@ -882,9 +844,7 @@ async def run_fleet_smoke(config: FleetConfig, quiet: bool = False) -> int:
         from repro.serve.loadgen import DEFAULT_PREDICT_BODY
 
         body_bytes = json.dumps(DEFAULT_PREDICT_BODY).encode()
-        key = hashlib.sha256(
-            b"/v1/predict" + b"\0" + body_bytes
-        ).hexdigest()
+        key = content_key("/v1/predict", body_bytes)
         owner = fleet._ring.node_for(key)
         victim = fleet._workers[owner]
         load = asyncio.create_task(

@@ -439,81 +439,6 @@ async def bench_fleet_matrix(
     return doc
 
 
-# -- the vectorization A/B benchmark behind BENCH_vector.json ----------------
-
-
-async def bench_vector_matrix(
-    concurrencies: Sequence[int] = (8, 64),
-    requests_per_level: int = 192,
-    distinct: int = 32,
-    iterations: int = 10,
-    seed: int = 1234,
-) -> Dict[str, Any]:
-    """Vectorized vs scalar evaluation under identical serving plumbing.
-
-    Two batched servers share one pre-fitted artifact registry and the
-    same batching/dedup settings; only the evaluator differs —
-    ``vector`` compiles each predict body once and dispatches a
-    coalesced batch as one fused NumPy sweep
-    (:func:`repro.model.vector.evaluate_plan_values`), ``scalar`` runs the
-    per-query Python loop.  Two workloads per concurrency level, both on
-    the dense ~1300-point :data:`DENSE_PREDICT_BODY` grid: ``identical``
-    (dedup absorbs everything — vectorization can't add much by design)
-    and ``distinct`` (``distinct`` byte-distinct bodies — the
-    dedup-immune case ROADMAP names as the weakest axis, where the
-    evaluator itself is the bottleneck).  The acceptance gate reads the
-    64-way distinct row.  docs/PERFORMANCE.md derives why the win
-    concentrates exactly there.
-    """
-    from repro.serve.app import ServeApp, ServeConfig
-    from repro.serve.artifacts import ArtifactRegistry
-
-    registry = ArtifactRegistry(
-        iterations=iterations, seed=seed, persist=False
-    )
-    doc: Dict[str, Any] = {
-        "benchmark": "repro.serve vectorized-evaluation A/B",
-        "endpoint": "/v1/predict",
-        "requests_per_level": requests_per_level,
-        "distinct_bodies": distinct,
-        "artifact_fit_iterations": iterations,
-        "levels": [],
-    }
-    apps = {
-        "vector": ServeApp(ServeConfig(vectorize=True), registry=registry),
-        "scalar": ServeApp(ServeConfig(vectorize=False), registry=registry),
-    }
-    workloads = {
-        "identical": {"body": DENSE_PREDICT_BODY, "bodies": None},
-        "distinct": {"body": None, "bodies": _distinct_bodies(distinct)},
-    }
-    try:
-        for app in apps.values():
-            await app.warm()
-            await app.start()
-        for concurrency in concurrencies:
-            for workload, kw in workloads.items():
-                level: Dict[str, Any] = {
-                    "concurrency": concurrency,
-                    "workload": workload,
-                }
-                for mode, app in apps.items():
-                    run = await run_loadgen(
-                        app.config.host,
-                        app.port,
-                        endpoint="/v1/predict",
-                        concurrency=concurrency,
-                        requests=requests_per_level,
-                        **kw,
-                    )
-                    level[mode] = run.summarize()
-                doc["levels"].append(level)
-    finally:
-        for app in apps.values():
-            await app.stop()
-    return doc
-
-
 def write_bench(path: str, doc: Dict[str, Any]) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -578,12 +503,6 @@ def build_loadgen_parser():
              "--self-host) — the BENCH_fleet.json generator",
     )
     p.add_argument(
-        "--bench-vector", action="store_true",
-        help="run the vectorized-vs-scalar evaluation A/B on the dense "
-             "predict grid, identical + 32-distinct workloads (implies "
-             "--self-host) — the BENCH_vector.json generator",
-    )
-    p.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="fleet size for --bench-fleet (default 2)",
     )
@@ -608,7 +527,6 @@ def main_loadgen(argv=None) -> int:
     if (
         not args.bench
         and not args.bench_fleet
-        and not args.bench_vector
         and not args.self_host
         and args.port is None
     ):
@@ -621,7 +539,7 @@ def main_loadgen(argv=None) -> int:
 
     if args.machine and args.machines:
         parser.error("--machine and --machines are mutually exclusive")
-    benching = args.bench or args.bench_fleet or args.bench_vector
+    benching = args.bench or args.bench_fleet
     if (args.machine or args.machines) and benching:
         parser.error(
             "--machine/--machines drive a live or self-hosted server, "
@@ -646,12 +564,6 @@ def main_loadgen(argv=None) -> int:
         body = None
 
     async def run() -> Dict[str, Any]:
-        if args.bench_vector:
-            return await bench_vector_matrix(
-                requests_per_level=args.requests,
-                iterations=args.iterations,
-                seed=args.seed,
-            )
         if args.bench_fleet:
             return await bench_fleet_matrix(
                 workers=args.workers,
@@ -714,13 +626,7 @@ def main_loadgen(argv=None) -> int:
     if args.out:
         write_bench(args.out, doc)
 
-    if args.bench_vector:
-        failed = any(
-            level[mode]["server_errors"]
-            for level in doc["levels"]
-            for mode in ("vector", "scalar")
-        )
-    elif args.bench_fleet:
+    if args.bench_fleet:
         failed = any(
             level[mode]["server_errors"]
             for level in doc["levels"]

@@ -10,6 +10,9 @@ wire format on both sides:
   :class:`asyncio.StreamReader`, with header/body size caps;
 * :class:`Response` / :func:`write_response` — serialize a response
   (``Response.json`` builds the common JSON case);
+* :func:`serve_connection` — the keep-alive request loop every front end
+  (one server, the fleet proxy) runs per connection, and
+  :func:`content_key` — the request identity both route and dedup on;
 * :class:`ClientConnection` / :func:`http_request` — the client used by
   the load generator, tests, and the ``serve --smoke`` self-check.
 
@@ -20,9 +23,10 @@ status the server should answer with; the app layer never has to guess.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import ReproError
@@ -198,6 +202,71 @@ async def write_response(
 ) -> None:
     writer.write(response.encode(keep_alive=keep_alive))
     await writer.drain()
+
+
+def content_key(route: str, body: bytes) -> str:
+    """SHA-256 of the raw endpoint + body bytes: the request's identity.
+
+    The single server dedups and caches plans on it, and the fleet front
+    end routes on it, so byte-identical queries always meet on one
+    worker.  Hashing the wire form (not a canonicalized parse) keeps the
+    hot path at microseconds per request; a client that reorders its
+    JSON keys merely forgoes the dedup.
+    """
+    return hashlib.sha256(route.encode() + b"\0" + body).hexdigest()
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    dispatch: Callable[[Request], Awaitable[Response]],
+    owner: Any,
+) -> None:
+    """Answer requests on one connection until the peer is done.
+
+    ``dispatch`` maps a parsed request to its response.  ``owner`` is the
+    front end being drained: its ``_conn_writers`` set and
+    ``_active_requests`` count are what a graceful stop waits for (and
+    then actively closes — on Python 3.12.1+ ``wait_closed`` waits for
+    connection handlers, so an idle keep-alive peer would otherwise hold
+    shutdown open forever).
+    """
+    owner._conn_writers.add(writer)
+    try:
+        while True:
+            try:
+                request = await read_request(reader)
+            except ProtocolError as e:
+                await write_response(
+                    writer, Response.error(e.status, str(e)), keep_alive=False
+                )
+                break
+            if request is None:
+                break
+            owner._active_requests += 1
+            try:
+                response = await dispatch(request)
+            finally:
+                owner._active_requests -= 1
+            await write_response(
+                writer, response, keep_alive=request.keep_alive
+            )
+            if not request.keep_alive:
+                break
+    except (ConnectionError, asyncio.IncompleteReadError):
+        pass  # peer went away mid-exchange; nothing to answer
+    except asyncio.CancelledError:
+        # Server shutdown cancels in-flight connection tasks; end quietly
+        # instead of tripping the stream protocol's exception-retrieval
+        # callback.
+        pass
+    finally:
+        owner._conn_writers.discard(writer)
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (OSError, ConnectionError, asyncio.CancelledError):
+            pass
 
 
 # -- client ------------------------------------------------------------------

@@ -10,7 +10,7 @@ The simulated microbenchmarks spend their time in two shapes of loop:
 * *wake* loops — when a flag is written, every blocked poller's
   transfer cost is drawn and then folded through the contention queue
   recurrence ``finish_i = max(solo_i, tail + beta)``.  The draws
-  vectorize (one call for all waiters); the recurrence is a cheap scan
+  become one array call for all waiters; the recurrence is a cheap scan
   over floats.
 
 These kernels are what Treibig/Hager's bandwidth-limited loop-kernel

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import hashlib
 import json
 import re
 import time
@@ -313,12 +312,6 @@ def _cmd_gc(store: ArtifactStore) -> int:
 # -- the store-smoke drill ---------------------------------------------------
 
 
-def _content_key(endpoint: str, body: Dict[str, Any]) -> str:
-    """The exact content key the serve layer derives for one body."""
-    raw = json.dumps(body).encode()  # loadgen's encoding, byte for byte
-    return hashlib.sha256(endpoint.encode() + b"\0" + raw).hexdigest()
-
-
 _REQ_METRIC = re.compile(
     r'^serve\.store\.requests\{version="([0-9a-z]+)"\}\{worker="'
 )
@@ -350,7 +343,11 @@ async def _smoke(iterations: int, quiet: bool) -> int:
     from repro.serve.artifacts import ArtifactRegistry, config_from_json
     from repro.serve.fleet import Fleet, FleetConfig
     from repro.serve.loadgen import _distinct_bodies, run_loadgen
-    from repro.serve.protocol import ClientConnection, http_request
+    from repro.serve.protocol import (
+        ClientConnection,
+        content_key,
+        http_request,
+    )
     from repro.serve.router import VersionRing
 
     failures: List[str] = []
@@ -488,11 +485,13 @@ async def _smoke(iterations: int, quiet: bool) -> int:
             stable_n = delta.get(v1[:12], 0.0)
             total = canary_n + stable_n
             ring = VersionRing(25.0)
-            expected = sum(
-                1
+            # json.dumps(b) is loadgen's encoding, byte for byte.
+            keys = [
+                content_key("/v1/predict", json.dumps(b).encode())
                 for b in bodies
-                if ring.version_for(_content_key("/v1/predict", b))
-                == "canary"
+            ]
+            expected = sum(
+                ring.version_for(k) == "canary" for k in keys
             ) / len(bodies)
             observed = canary_n / total if total else -1.0
             check(

@@ -83,6 +83,7 @@ class TestErrorParity:
         [{"metric": "contention", "n": 0}],
         [{"metric": "contention", "n": "many"}],
         [{"metric": "multiline", "bytes": -64}],
+        [{"metric": "contention", "n": float("inf")}],  # JSON Infinity
     ]
 
     @pytest.mark.parametrize("queries", COMPILE_ERRORS)
@@ -131,6 +132,24 @@ class TestErrorParity:
             compile_queries(queries).evaluate(capability)
         assert str(vector_err.value) == str(scalar_err.value)
         assert "scale" in str(vector_err.value)
+
+    @pytest.mark.parametrize("query", [
+        {"metric": "contention", "n": 10 ** 400},
+        {"metric": "multiline", "location": "tile", "bytes": 10 ** 400},
+    ])
+    def test_count_beyond_float64_is_a_model_error(self, capability, query):
+        """A count of hundreds of digits fits a Python int but not the
+        plan's float64 arrays: a ModelError (a 400 when served), never
+        an OverflowError, and the message does not print the value."""
+        with pytest.raises(ModelError) as vector_err:
+            compile_queries([query])
+        with pytest.raises(ModelError) as scalar_err:
+            predict_one(capability, query)
+        message = str(vector_err.value)
+        assert message == str(scalar_err.value)
+        assert "must fit a float64" in message
+        assert "1329 bits" in message
+        assert "inf" not in message and "e+" not in message
 
 
 class TestFusedEvaluation:

@@ -107,6 +107,25 @@ class TestPlumbing:
         status, _, body = serve(app, client)
         assert status == 400 and "JSON" in body["error"]["message"]
 
+    def test_deeply_nested_body_400(self, app):
+        """JSON nested past the decoder's recursion limit is a 400 for
+        that body, not a dropped batch."""
+        async def client(host, port):
+            conn = ClientConnection(host, port)
+            try:
+                deep = await conn.request_bytes(
+                    "POST", "/v1/predict", b"[" * 100_000
+                )
+                health, _, _ = await conn.request("GET", "/healthz")
+                return deep, health
+            finally:
+                await conn.close()
+
+        (status, _, raw), health = serve(app, client)
+        assert status == 400
+        assert "not valid JSON" in json.loads(raw)["error"]["message"]
+        assert health == 200
+
     def test_port_property_requires_started_server(self, app):
         with pytest.raises(Exception):
             app.port

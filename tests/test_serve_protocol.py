@@ -1,7 +1,10 @@
 """HTTP/1.1 framing: request parsing, response encoding, the client."""
 
 import asyncio
+import functools
+import hashlib
 import json
+import types
 
 import pytest
 
@@ -11,9 +14,10 @@ from repro.serve.protocol import (
     ProtocolError,
     Request,
     Response,
+    content_key,
     http_request,
     read_request,
-    write_response,
+    serve_connection,
 )
 
 
@@ -120,32 +124,104 @@ class TestResponse:
         assert json.loads(resp.body)["error"]["message"] == "busy"
 
 
-class TestClientServerRoundTrip:
-    """The client against a real asyncio server speaking this framing."""
+def drain_owner():
+    """The drain bookkeeping ``serve_connection`` keeps on its owner."""
+    return types.SimpleNamespace(_conn_writers=set(), _active_requests=0)
 
-    @staticmethod
-    async def echo_app(reader, writer):
-        while True:
-            try:
-                request = await read_request(reader)
-            except ProtocolError as e:
-                await write_response(
-                    writer, Response.error(e.status, str(e)), keep_alive=False
-                )
-                break
-            if request is None:
-                break
-            payload = {
-                "route": request.route,
-                "method": request.method,
-                "echo": json.loads(request.body) if request.body else None,
-            }
-            await write_response(
-                writer, Response.json(payload), keep_alive=request.keep_alive
+
+async def echo(request):
+    return Response.json({
+        "route": request.route,
+        "method": request.method,
+        "echo": json.loads(request.body) if request.body else None,
+    })
+
+
+class TestContentKey:
+    def test_sha256_of_route_nul_body(self):
+        body = b'{"queries": []}'
+        assert content_key("/v1/predict", body) == hashlib.sha256(
+            b"/v1/predict\0" + body
+        ).hexdigest()
+
+    def test_route_and_body_both_count(self):
+        body = b"{}"
+        assert content_key("/v1/predict", body) != content_key(
+            "/v1/advise", body
+        )
+        assert content_key("/v1/predict", body) != content_key(
+            "/v1/predict", b"{ }"
+        )
+
+
+class TestClientServerRoundTrip:
+    """The client against a real asyncio server running the shared
+    :func:`serve_connection` loop."""
+
+    echo_app = staticmethod(functools.partial(
+        serve_connection, dispatch=echo, owner=drain_owner()
+    ))
+
+    def test_connection_loop_keeps_drain_bookkeeping(self):
+        """A connection is tracked while open and a request counts as
+        active while dispatching; both are released afterwards."""
+        owner = drain_owner()
+        seen = {}
+
+        async def dispatch(request):
+            seen["active"] = owner._active_requests
+            seen["writers"] = len(owner._conn_writers)
+            return await echo(request)
+
+        async def go():
+            server = await asyncio.start_server(
+                functools.partial(
+                    serve_connection, dispatch=dispatch, owner=owner
+                ),
+                "127.0.0.1",
+                0,
             )
-            if not request.keep_alive:
-                break
-        writer.close()
+            port = server.sockets[0].getsockname()[1]
+            try:
+                status, _, _ = await http_request(
+                    "127.0.0.1", port, "GET", "/x"
+                )
+                for _ in range(100):  # the handler closes after the reply
+                    if not owner._conn_writers:
+                        break
+                    await asyncio.sleep(0.01)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return status
+
+        assert run(go()) == 200
+        assert seen == {"active": 1, "writers": 1}
+        assert owner._active_requests == 0
+        assert not owner._conn_writers
+
+    def test_malformed_request_gets_its_status_and_a_close(self):
+        async def go():
+            server = await asyncio.start_server(
+                self.echo_app, "127.0.0.1", 0
+            )
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(b"NONSENSE\r\n\r\n")
+                await writer.drain()
+                reply = await reader.read()
+                writer.close()
+                return reply
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        reply = run(go())
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
 
     def test_round_trip_and_keep_alive_reuse(self):
         async def go():

@@ -1,11 +1,15 @@
-"""The vectorized batch-evaluation path of the query service.
+"""The compiled-plan predict path of the query service.
 
-Every test drives a real ``ServeApp`` over loopback twice — vectorize
-on vs off — and asserts the responses are byte-identical; the vector
-path is pure mechanism, never semantics.  Edge cases from the issue
-checklist: a single-element batch, an all-duplicates batch, mixed
-machine presets coalesced into one window, and a deadline-cancelled
-waiter sharing a vector evaluation.
+The compiled plan is the server's only predict evaluator and validator.
+The tests drive a real ``ServeApp`` over loopback and compare every
+served ``/v1/predict`` body byte for byte with the scalar oracle
+(:func:`repro.model.vector.predict_one` per query after
+``compile_queries``' list-level validation, built the way
+``perfbench/oracle.py`` builds it).  Edge cases: a single-element
+batch, an all-duplicates batch, mixed machine presets coalesced into
+one window, error bodies (structural errors win over model-dependent
+ones), a count beyond float64 beside a valid batchmate, and a
+deadline-cancelled waiter sharing a vector evaluation.
 """
 
 import asyncio
@@ -15,16 +19,11 @@ import os
 import numpy as np
 import pytest
 
+from repro.errors import ModelError
 from repro.machines import get_machine
-from repro.model.vector import compile_queries
+from repro.model.vector import compile_queries, predict_one
 from repro.obs import reset_metrics
-from repro.serve.app import (
-    ServeApp,
-    ServeConfig,
-    _PlanEntry,
-    build_serve_parser,
-    _config_from_args,
-)
+from repro.serve.app import ServeApp, ServeConfig, _PlanEntry
 from repro.serve.artifacts import ArtifactRegistry
 from repro.serve.protocol import ClientConnection, http_request
 
@@ -59,16 +58,31 @@ def serve(app, client_coro_factory):
     return run(go())
 
 
-def ab_responses(snc4_flat_config, capability, client_factory, machines=()):
-    """Run the same client against a vectorized and a scalar app."""
-    out = {}
-    for vectorize in (True, False):
-        app = make_app(
-            snc4_flat_config, capability, machines=machines,
-            vectorize=vectorize,
-        )
-        out[vectorize] = serve(app, client_factory)
-    return out[True], out[False]
+def oracle_response(capability, body):
+    """``(status, bytes)`` the scalar oracle expects for a predict body:
+    list-level validation by ``compile_queries`` (structural errors
+    first), then ``predict_one`` per query."""
+    queries = body.get("queries")
+    try:
+        compile_queries(queries)
+        results = [predict_one(capability, q) for q in queries]
+    except ModelError as e:
+        payload = {"error": {"status": 400, "message": str(e)}}
+        return 400, json.dumps(payload, sort_keys=True).encode()
+    payload = {"config_label": capability.config_label, "results": results}
+    if body.get("machine") is not None:
+        payload["machine"] = body["machine"]
+    return 200, json.dumps(payload, sort_keys=True).encode()
+
+
+def served_and_oracle(
+    snc4_flat_config, capability, client_factory, bodies, machines=()
+):
+    """Served ``(status, headers, bytes)`` per body from one app, and the
+    oracle's ``(status, bytes)`` for the same bodies."""
+    app = make_app(snc4_flat_config, capability, machines=machines)
+    served = serve(app, client_factory)
+    return served, [oracle_response(capability, b) for b in bodies]
 
 
 async def raw_post(host, port, body):
@@ -84,7 +98,7 @@ async def raw_post(host, port, body):
 class TestByteIdentityOverHttp:
     def test_single_element_batch(self, snc4_flat_config, capability):
         """A lone request — batch of one, plan-cache cold then warm —
-        answers with the scalar path's exact bytes."""
+        answers with the oracle's exact bytes."""
         body = {"queries": [
             {"metric": "latency", "location": "tile", "state": "M"},
             {"metric": "contention", "n": 5},
@@ -96,13 +110,19 @@ class TestByteIdentityOverHttp:
             warm = await raw_post(host, port, body)
             return cold, warm
 
-        vec, scal = ab_responses(snc4_flat_config, capability, client)
-        for (vs, _h, vb), (ss, _h2, sb) in zip(vec, scal):
+        vec, scal = served_and_oracle(
+            snc4_flat_config, capability, client, [body, body]
+        )
+        for (vs, _h, vb), (ss, sb) in zip(vec, scal):
             assert vs == ss == 200
             assert vb == sb
         assert vec[0][2] == vec[1][2]  # warm render equals cold render
 
     def test_error_bodies_match_scalar(self, snc4_flat_config, capability):
+        mixed = {"queries": [
+            {"metric": "latency", "location": "tile", "state": "Z"},
+            {"metric": "bogus"},
+        ]}
         bodies = [
             {"queries": [{"metric": "latency", "location": "mars"}]},
             {"queries": [{"metric": "contention", "n": 0}]},
@@ -110,15 +130,22 @@ class TestByteIdentityOverHttp:
                 {"metric": "latency", "location": "tile", "state": "Z"}
             ]},
             {"queries": []},
+            mixed,
         ]
 
         async def client(host, port):
             return [await raw_post(host, port, b) for b in bodies]
 
-        vec, scal = ab_responses(snc4_flat_config, capability, client)
-        for (vs, _h, vb), (ss, _h2, sb) in zip(vec, scal):
+        vec, scal = served_and_oracle(
+            snc4_flat_config, capability, client, bodies
+        )
+        for (vs, _h, vb), (ss, sb) in zip(vec, scal):
             assert vs == ss == 400
             assert vb == sb
+        # A model-dependent error (state "Z") before a structural one
+        # (metric "bogus"): the structural error wins.
+        message = json.loads(vec[-1][2])["error"]["message"]
+        assert "got 'bogus'" in message
 
 
 class TestBatchShapes:
@@ -150,15 +177,14 @@ class TestBatchShapes:
         plans = metrics["serve.vector.plans"]["value"]
         evaluations = metrics["serve.batch.evaluations"]["value"]
         assert plans <= evaluations <= 8
-        fallbacks = metrics.get("serve.vector.fallbacks", {})
-        assert fallbacks.get("value", 0) == 0
+        assert metrics.get("serve.errors", {}).get("value", 0) == 0
 
     def test_mixed_machine_presets_in_one_window(
         self, snc4_flat_config, capability
     ):
         """Requests naming different presets coalesce into one batch
         but group per artifact; each answer carries its own machine
-        name and matches the scalar bytes."""
+        name and matches the oracle's bytes."""
         machines = ("knl-7210", "knl-7250")
         bodies = [
             {"machine": name, "queries": [
@@ -175,10 +201,10 @@ class TestBatchShapes:
             )
 
         reset_metrics()
-        vec, scal = ab_responses(
-            snc4_flat_config, capability, client, machines=machines
+        vec, scal = served_and_oracle(
+            snc4_flat_config, capability, client, bodies, machines=machines
         )
-        for body, (vs, _h, vb), (ss, _h2, sb) in zip(bodies, vec, scal):
+        for body, (vs, _h, vb), (ss, sb) in zip(bodies, vec, scal):
             assert vs == ss == 200
             assert vb == sb
             assert json.loads(vb)["machine"] == body["machine"]
@@ -186,7 +212,7 @@ class TestBatchShapes:
     def test_unfitted_plan_falls_back_without_poisoning_the_batch(
         self, snc4_flat_config, capability
     ):
-        """One unanswerable plan in a batch 400s with the scalar
+        """One unanswerable plan in a batch 400s with the oracle's
         message; its batchmates still answer 200."""
         good = {"queries": [{"metric": "latency", "location": "local"}]}
         bad = {"queries": [
@@ -198,10 +224,73 @@ class TestBatchShapes:
                 raw_post(host, port, good), raw_post(host, port, bad)
             )
 
-        vec, scal = ab_responses(snc4_flat_config, capability, client)
+        vec, scal = served_and_oracle(
+            snc4_flat_config, capability, client, [good, bad]
+        )
         assert [s for s, _, _ in vec] == [200, 400]
-        for (vs, _h, vb), (ss, _h2, sb) in zip(vec, scal):
+        for (vs, _h, vb), (ss, sb) in zip(vec, scal):
             assert vs == ss and vb == sb
+
+    def test_count_beyond_float64_answers_400_beside_a_200(
+        self, snc4_flat_config, capability
+    ):
+        """A count of 401 digits in one body of a coalesced batch: that
+        body answers 400, its batchmate 200, and the server keeps
+        answering ``/healthz``."""
+        good = {"queries": [{"metric": "contention", "n": 4}]}
+        huge = {"queries": [{"metric": "contention", "n": 10 ** 400}]}
+        app = make_app(snc4_flat_config, capability, window_s=0.05)
+
+        async def client(host, port):
+            served = await asyncio.gather(
+                raw_post(host, port, good), raw_post(host, port, huge)
+            )
+            health, _, _ = await http_request(host, port, "GET", "/healthz")
+            return served, health
+
+        served, health = serve(app, client)
+        assert [s for s, _, _ in served] == [200, 400]
+        for (status, _h, body), want in zip(
+            served, [oracle_response(capability, b) for b in (good, huge)]
+        ):
+            assert (status, body) == want
+        assert "must fit a float64" in json.loads(served[1][2])["error"][
+            "message"
+        ]
+        assert health == 200
+
+    def test_unexpected_compile_failure_is_a_500_for_that_body_only(
+        self, snc4_flat_config, capability, monkeypatch
+    ):
+        """An exception other than ModelError while compiling one body
+        answers 500 for that body alone and ticks ``serve.errors``."""
+        import repro.serve.app as app_mod
+
+        real = app_mod.compile_queries
+
+        def flaky(queries):
+            if queries == [{"metric": "contention", "n": 13}]:
+                raise RuntimeError("compiler bug")
+            return real(queries)
+
+        monkeypatch.setattr(app_mod, "compile_queries", flaky)
+        reset_metrics()
+        good = {"queries": [{"metric": "contention", "n": 4}]}
+        bad = {"queries": [{"metric": "contention", "n": 13}]}
+        app = make_app(snc4_flat_config, capability, window_s=0.05)
+
+        async def client(host, port):
+            served = await asyncio.gather(
+                raw_post(host, port, good), raw_post(host, port, bad)
+            )
+            _, _, m = await http_request(host, port, "GET", "/metrics")
+            return served, m["metrics"]
+
+        served, metrics = serve(app, client)
+        assert [s for s, _, _ in served] == [200, 500]
+        assert served[0][2] == oracle_response(capability, good)[1]
+        assert "compiler bug" in json.loads(served[1][2])["error"]["message"]
+        assert metrics["serve.errors"]["value"] == 1
 
 
 class TestCancelledWaiter:
@@ -211,9 +300,7 @@ class TestCancelledWaiter:
         """Two deduped waiters share one vector evaluation; one is
         cancelled (the deadline path) mid-flight.  The survivor still
         gets the full 200 — cancellation never kills shared work."""
-        app = make_app(
-            snc4_flat_config, capability, window_s=0.02, vectorize=True
-        )
+        app = make_app(snc4_flat_config, capability, window_s=0.02)
         body = {"queries": [{"metric": "contention", "n": 11}]}
         item = {
             "endpoint": "/v1/predict",
@@ -265,7 +352,8 @@ class TestPlanCache:
         self, snc4_flat_config, capability
     ):
         app = make_app(snc4_flat_config, capability)
-        assert app._plan_compile("bad", {"queries": "nope"}) is None
+        with pytest.raises(ModelError, match="non-empty 'queries' list"):
+            app._plan_compile("bad", {"queries": "nope"})
         assert app._plan_hit("bad") is None
 
     def test_render_cache_reused_across_batches(
@@ -324,30 +412,29 @@ class TestRenderTemplate:
         }
         assert rendered == json.dumps(payload, sort_keys=True).encode()
 
-    def test_non_finite_values_refuse_the_template(self, capability):
-        plan = compile_queries([{"metric": "contention", "n": 2}])
-        entry = _PlanEntry(plan, None, None)
-        bad = np.array([float("nan")])
-        assert entry.render(capability.config_label, None, bad) is None
-
-
-class TestCliFlag:
-    def test_vectorize_defaults_on(self):
-        config = _config_from_args(build_serve_parser().parse_args([]))
-        assert config.vectorize is True
-
-    def test_no_vector_turns_it_off(self):
-        config = _config_from_args(
-            build_serve_parser().parse_args(["--no-vector"])
+    def test_non_finite_values_spell_like_json_dumps(self, capability):
+        """NaN and infinities render as ``json.dumps`` spells them, and
+        the finite values beside them keep their repr."""
+        plan = compile_queries(
+            [{"metric": "contention", "n": n} for n in (2, 3, 4, 5)]
         )
-        assert config.vectorize is False
+        entry = _PlanEntry(plan, None, None)
+        values = np.array([float("nan"), float("inf"), -float("inf"), 0.1])
+        rendered = entry.render(capability.config_label, None, values)
+        payload = {
+            "config_label": capability.config_label,
+            "results": plan.results(values),
+        }
+        assert rendered == json.dumps(payload, sort_keys=True).encode()
+        assert b"NaN" in rendered and b"-Infinity" in rendered
 
 
 class TestCommittedVectorBench:
     def test_committed_bench_meets_the_acceptance_criterion(self):
-        """BENCH_vector.json (regenerable with ``repro loadgen
-        --bench-vector``) must show the vectorized evaluator at >= 2x
-        the scalar path's throughput on the 32-distinct-query 64-way
+        """BENCH_vector.json, the historical record of the scalar vs
+        compiled-plan A/B (it can no longer be regenerated: the scalar
+        serving path is gone), shows the compiled plan at >= 2x the
+        scalar path's throughput on the 32-distinct-query 64-way
         workload, with zero server errors anywhere."""
         path = os.path.join(
             os.path.dirname(__file__), "..", "BENCH_vector.json"
