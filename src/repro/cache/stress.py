@@ -1,4 +1,7 @@
-"""Multi-process stress harness for the disk tier (CI smoke + tests).
+"""Multi-process stress harness for the disk tier.
+
+``tests/test_cache.py::TestMultiprocessStress`` drives it at several
+scales.
 
 Two checks, both run against one shared cache directory:
 

@@ -42,7 +42,7 @@ from repro.experiments import all_ids, get
 
 #: Subcommands with their own flag namespace, dispatched before the main
 #: parser sees the argv (``--port`` etc. would be unknown flags to it).
-_SUBCOMMANDS = ("serve", "loadgen", "lint", "machines", "store", "cache")
+_SUBCOMMANDS = ("serve", "loadgen", "lint", "machines", "store")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,10 +197,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             from repro.store.cli import main_store
 
             return main_store(argv[1:])
-        if argv[0] == "cache":
-            from repro.cache.cli import main_cache
-
-            return main_cache(argv[1:])
         from repro.serve.loadgen import main_loadgen
 
         return main_loadgen(argv[1:])

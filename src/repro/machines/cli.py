@@ -6,23 +6,18 @@ Subcommands::
     repro machines show numa-2s             # canonical document + derived facts
     repro machines validate --all           # validate + build every preset
     repro machines validate numa-2s         # ... or just one
-    repro machines smoke --machine numa-2s  # served round-trip (CI job)
 
 ``validate`` loads each preset through the full schema, builds the
-machine, and boots nothing; ``smoke`` additionally starts a real
-server on an ephemeral port, lists ``/v1/machines``, and round-trips a
-``/v1/predict`` against the chosen (non-default) machine — the check
-behind the ``machines-smoke`` CI job.
+machine, and boots nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 from typing import List, Optional
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.machines.catalog import (
     DEFAULT_MACHINE,
     catalog_paths,
@@ -63,20 +58,6 @@ def build_machines_parser() -> argparse.ArgumentParser:
         "--all", action="store_true", help="validate every catalog preset"
     )
 
-    smoke = sub.add_parser(
-        "smoke",
-        help="boot a real server and round-trip /v1/machines and a "
-             "machine-selected /v1/predict (the machines-smoke CI job)",
-    )
-    smoke.add_argument(
-        "--machine", default="numa-2s", metavar="NAME",
-        help="non-default preset to query (default numa-2s)",
-    )
-    smoke.add_argument(
-        "--iterations", type=int, default=3, metavar="N",
-        help="fit iterations for the smoke artifacts (default 3)",
-    )
-    smoke.add_argument("--quiet", action="store_true")
     return p
 
 
@@ -138,118 +119,6 @@ def _cmd_validate(names: List[str], validate_all: bool) -> int:
     return 1 if failures else 0
 
 
-async def _smoke(machine: str, iterations: int, quiet: bool) -> int:
-    from repro.serve.app import ServeApp, ServeConfig
-    from repro.serve.protocol import http_request
-
-    if machine == DEFAULT_MACHINE:
-        raise ConfigurationError(
-            "machines smoke wants a non-default preset (the point is "
-            f"to prove a second artifact); {DEFAULT_MACHINE!r} is the "
-            "default"
-        )
-    get_machine(machine)  # fail fast on unknown names
-
-    failures: List[str] = []
-
-    def check(label: str, ok: bool, detail: str = "") -> None:
-        if not quiet or not ok:
-            state = "ok" if ok else "FAIL"
-            print(f"[machines-smoke] {label:<28s} {state} {detail}".rstrip())
-        if not ok:
-            failures.append(label)
-
-    app = ServeApp(
-        ServeConfig(
-            port=0, iterations=iterations, persist_artifacts=False
-        )
-    )
-    default_artifact = await app.warm()
-    machine_artifact = await app.warm(machine=machine)
-    check(
-        "independent artifacts",
-        machine_artifact.key != default_artifact.key,
-        f"({machine_artifact.key[:12]} vs {default_artifact.key[:12]})",
-    )
-    host, port = await app.start()
-    try:
-        status, _, body = await http_request(host, port, "GET", "/v1/machines")
-        names = [m["name"] for m in body.get("machines", ())]
-        check(
-            "GET /v1/machines",
-            status == 200 and len(names) >= 4 and machine in names,
-            f"(status {status}, {len(names)} presets)",
-        )
-        warm = {
-            m["name"]: m["warm"] for m in body.get("machines", ())
-        }
-        check(
-            f"{machine} is warm", warm.get(machine) is True, f"({warm})"
-        )
-
-        status, _, predict = await http_request(
-            host, port, "POST", "/v1/predict",
-            {
-                "machine": machine,
-                "queries": [
-                    {"metric": "latency", "location": "memory",
-                     "kind": "ddr"},
-                    {"metric": "bandwidth", "op": "copy",
-                     "kind": "mcdram"},
-                ],
-            },
-        )
-        check(
-            "machine-selected predict",
-            status == 200 and predict.get("machine") == machine,
-            f"(status {status}, machine {predict.get('machine')!r})",
-        )
-
-        status, _, default_predict = await http_request(
-            host, port, "POST", "/v1/predict",
-            {"queries": [{"metric": "bandwidth", "op": "copy",
-                          "kind": "mcdram"}]},
-        )
-        distinct = (
-            status == 200
-            and predict.get("results")
-            and default_predict.get("results")
-            and predict["results"][-1]["value"]
-            != default_predict["results"][-1]["value"]
-        )
-        check(
-            "predictions differ from default",
-            bool(distinct),
-            f"({predict.get('results', [{}])[-1].get('value')} vs "
-            f"{default_predict.get('results', [{}])[-1].get('value')})",
-        )
-
-        status, _, conflict = await http_request(
-            host, port, "POST", "/v1/predict",
-            {
-                "machine": machine,
-                "config": {"cluster_mode": "quadrant"},
-                "queries": [{"metric": "latency", "location": "local"}],
-            },
-        )
-        check("machine+config rejected", status == 400, f"(status {status})")
-
-        status, _, unknown = await http_request(
-            host, port, "POST", "/v1/predict",
-            {
-                "machine": "no-such-machine",
-                "queries": [{"metric": "latency", "location": "local"}],
-            },
-        )
-        check("unknown machine rejected", status == 400, f"(status {status})")
-    finally:
-        await app.stop()
-    if not quiet:
-        verdict = "FAILED" if failures else "passed"
-        print(f"[machines-smoke] {verdict} ({len(failures)} failure(s))")
-    return 1 if failures else 0
-
-
 def main_machines(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``repro machines``."""
     args = build_machines_parser().parse_args(argv)
@@ -258,11 +127,7 @@ def main_machines(argv: Optional[List[str]] = None) -> int:
             return _cmd_list()
         if args.action == "show":
             return _cmd_show(args.name, args.knobs)
-        if args.action == "validate":
-            return _cmd_validate(args.names, args.all)
-        return asyncio.run(
-            _smoke(args.machine, args.iterations, args.quiet)
-        )
+        return _cmd_validate(args.names, args.all)
     except ReproError as e:
         print(f"error: {e}")
         return 2

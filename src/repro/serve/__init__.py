@@ -51,12 +51,7 @@ from repro.serve.artifacts import (
     config_from_json,
 )
 from repro.serve.batcher import AdmissionError, BatcherClosed, MicroBatcher
-from repro.serve.fleet import (
-    Fleet,
-    FleetConfig,
-    run_fleet,
-    run_fleet_smoke,
-)
+from repro.serve.fleet import Fleet, FleetConfig, run_fleet
 from repro.serve.loadgen import (
     LoadgenResult,
     bench_matrix,
@@ -100,7 +95,6 @@ __all__ = [
     "http_request",
     "read_request",
     "run_fleet",
-    "run_fleet_smoke",
     "run_loadgen",
     "write_bench",
 ]

@@ -848,6 +848,32 @@ def _tune_barrier_measured(
 # -- CLI: `repro serve` ------------------------------------------------------
 
 
+def _deadline_spec(spec: str) -> Tuple[str, float]:
+    """``--deadline ROUTE=SECONDS`` → ``(route, seconds)``; anything but a
+    POST route with finite seconds > 0 is a usage error."""
+    import argparse
+    import math
+
+    route, sep, text = spec.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(
+            f"wants ROUTE=SECONDS, got {spec!r}"
+        )
+    if route not in _POST_ROUTES:
+        raise argparse.ArgumentTypeError(
+            f"unknown route {route!r} (one of {', '.join(_POST_ROUTES)})"
+        )
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise argparse.ArgumentTypeError(
+            f"seconds must be a finite number > 0, got {text!r}"
+        )
+    return route, seconds
+
+
 def build_serve_parser():
     import argparse
 
@@ -892,8 +918,10 @@ def build_serve_parser():
     )
     admission.add_argument(
         "--deadline", action="append", default=None, metavar="ROUTE=SECONDS",
+        type=_deadline_spec,
         help="per-endpoint deadline override, e.g. --deadline "
-             "/v1/predict=2.5 (repeatable)",
+             "/v1/predict=2.5 (repeatable; ROUTE is one of "
+             f"{', '.join(_POST_ROUTES)}, SECONDS finite and > 0)",
     )
     artifacts = p.add_argument_group("artifacts")
     artifacts.add_argument(
@@ -914,25 +942,12 @@ def build_serve_parser():
         "--no-warm", action="store_true",
         help="skip pre-fitting the default SNC4-flat artifact at startup",
     )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="self-check: boot on an ephemeral port, exercise /healthz, "
-             "/v1/advise, and a 64-way /v1/predict burst, fail on any "
-             "5xx or weak batching, then exit",
-    )
     p.add_argument("--quiet", action="store_true")
     return p
 
 
 def _config_from_args(args) -> ServeConfig:
-    deadlines = dict(DEFAULT_DEADLINES)
-    for spec in args.deadline or ():
-        route, sep, seconds = spec.partition("=")
-        if not sep:
-            raise ReproError(
-                f"--deadline wants ROUTE=SECONDS, got {spec!r}"
-            )
-        deadlines[route] = float(seconds)
+    deadlines = {**DEFAULT_DEADLINES, **dict(args.deadline or ())}
     if args.no_batching:
         return ServeConfig.unbatched(
             host=args.host,
@@ -958,81 +973,6 @@ def _config_from_args(args) -> ServeConfig:
     )
 
 
-async def run_smoke(config: ServeConfig, quiet: bool = False) -> int:
-    """The `serve --smoke` self-check (also the CI serve-smoke job).
-
-    Boots the real server on an ephemeral port and drives real HTTP
-    over loopback: /healthz, one /v1/advise round-trip, then a 64-way
-    burst of identical /v1/predict queries.  Fails (exit 1) on any 5xx,
-    an unhealthy /healthz, or a burst that needed more than 8 model
-    evaluations (i.e. coalescing + dedup not working).
-    """
-    from repro.serve.loadgen import DEFAULT_ADVISE_BODY, run_loadgen
-    from repro.serve.protocol import http_request
-
-    config.port = 0
-    app = ServeApp(config)
-    failures = []
-
-    def check(label: str, ok: bool, detail: str = "") -> None:
-        if not quiet or not ok:
-            state = "ok" if ok else "FAIL"
-            print(f"[smoke] {label:<28s} {state} {detail}".rstrip())
-        if not ok:
-            failures.append(label)
-
-    await app.warm()
-    host, port = await app.start()
-    try:
-        status, _, body = await http_request(host, port, "GET", "/healthz")
-        check("healthz", status == 200 and body["status"] == "ok",
-              f"(status {status})")
-
-        status, _, advice = await http_request(
-            host, port, "POST", "/v1/advise", DEFAULT_ADVISE_BODY
-        )
-        check(
-            "advise round-trip",
-            status == 200 and "assignments" in advice,
-            f"(status {status})",
-        )
-
-        async def evaluations() -> int:
-            _, _, m = await http_request(host, port, "GET", "/metrics")
-            metric = m["metrics"].get("serve.batch.evaluations", {})
-            return int(metric.get("value", 0))
-
-        before = await evaluations()
-        burst = await run_loadgen(
-            host, port, endpoint="/v1/predict", concurrency=64, requests=64
-        )
-        evaluated = await evaluations() - before
-        check(
-            "burst has no 5xx",
-            burst.server_errors == 0,
-            f"(status counts {burst.status_counts})",
-        )
-        check(
-            "burst coalesced",
-            evaluated <= 8,
-            f"(64 identical queries -> {evaluated} evaluations)",
-        )
-
-        status, _, body = await http_request(host, port, "GET", "/healthz")
-        check("healthz after burst", status == 200, f"(status {status})")
-
-        _, _, m = await http_request(host, port, "GET", "/metrics")
-        served_5xx = m["metrics"].get("serve.http.5xx", {}).get("value", 0)
-        check("no 5xx served at all", served_5xx == 0,
-              f"(counter {served_5xx})")
-    finally:
-        await app.stop()
-    if not quiet:
-        verdict = "FAILED" if failures else "passed"
-        print(f"[smoke] {verdict} ({len(failures)} failure(s))")
-    return 1 if failures else 0
-
-
 def main_serve(argv=None) -> int:
     """Entry point of ``repro serve``."""
     import signal
@@ -1042,22 +982,13 @@ def main_serve(argv=None) -> int:
     if args.workers > 1:
         # Prefork fleet: N worker processes behind a consistent-hash
         # routing front end (docs/SERVING.md, "Scaling out").
-        from repro.serve.fleet import (
-            fleet_config_from_args,
-            run_fleet,
-            run_fleet_smoke,
+        from repro.serve.fleet import fleet_config_from_args, run_fleet
+
+        return asyncio.run(
+            run_fleet(fleet_config_from_args(args), quiet=args.quiet)
         )
 
-        fleet_config = fleet_config_from_args(args)
-        if args.smoke:
-            return asyncio.run(
-                run_fleet_smoke(fleet_config, quiet=args.quiet)
-            )
-        return asyncio.run(run_fleet(fleet_config, quiet=args.quiet))
-
     config = _config_from_args(args)
-    if args.smoke:
-        return asyncio.run(run_smoke(config, quiet=args.quiet))
 
     async def run() -> None:
         app = ServeApp(config)

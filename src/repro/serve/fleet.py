@@ -792,133 +792,3 @@ async def run_fleet(config: FleetConfig, quiet: bool = False) -> int:
     if not quiet:
         print("[serve] drained; bye", flush=True)
     return 0
-
-
-async def run_fleet_smoke(config: FleetConfig, quiet: bool = False) -> int:
-    """The ``serve --workers N --smoke`` self-check (CI fleet-smoke job).
-
-    Boots a real fleet on an ephemeral port, then: checks aggregated
-    health, drives an identical-query burst (must coalesce on the key's
-    owner, no 5xx), SIGKILLs a worker mid-load and requires the fleet to
-    keep answering — only bounded 503s, never another 5xx class — and
-    the victim to be restarted within the backoff budget, then drains.
-    """
-    import os as _os
-
-    from repro.serve.loadgen import run_loadgen
-    from repro.serve.protocol import http_request
-
-    config.port = 0
-    if config.workers < 2:
-        config.workers = 2
-    fleet = Fleet(config)
-    failures: List[str] = []
-
-    def check(label: str, ok: bool, detail: str = "") -> None:
-        if not quiet or not ok:
-            state = "ok" if ok else "FAIL"
-            print(f"[fleet-smoke] {label:<30s} {state} {detail}".rstrip())
-        if not ok:
-            failures.append(label)
-
-    host, port = await fleet.start()
-    try:
-        status, _, body = await http_request(host, port, "GET", "/healthz")
-        check(
-            "fleet healthz",
-            status == 200 and body["status"] == "ok",
-            f"(status {status}, {body.get('fleet', {}).get('up')} up)",
-        )
-
-        burst = await run_loadgen(
-            host, port, endpoint="/v1/predict", concurrency=32, requests=64
-        )
-        check(
-            "burst has no 5xx",
-            burst.server_errors == 0,
-            f"(status counts {burst.status_counts})",
-        )
-
-        # Kill the worker that owns the default predict body — the one
-        # actually serving the load — while a longer run is in flight.
-        from repro.serve.loadgen import DEFAULT_PREDICT_BODY
-
-        body_bytes = json.dumps(DEFAULT_PREDICT_BODY).encode()
-        key = content_key("/v1/predict", body_bytes)
-        owner = fleet._ring.node_for(key)
-        victim = fleet._workers[owner]
-        load = asyncio.create_task(
-            run_loadgen(
-                host, port,
-                endpoint="/v1/predict",
-                concurrency=16,
-                requests=192,
-            )
-        )
-        await asyncio.sleep(0.3)
-        _os.kill(victim.process.pid, signal.SIGKILL)
-        killed_at = time.monotonic()
-        result = await load
-        hard_errors = sum(
-            n
-            for status_code, n in result.status_counts.items()
-            if status_code >= 500 and status_code != 503
-        )
-        check(
-            "no 5xx storm after SIGKILL",
-            hard_errors == 0,
-            f"(status counts {result.status_counts})",
-        )
-        check(
-            "503s bounded",
-            result.status_counts.get(503, 0) <= result.requests // 2,
-            f"({result.status_counts.get(503, 0)}/{result.requests})",
-        )
-
-        # Restart budget: first crash backs off restart.backoff(1), then
-        # the worker reboots (preloaded model — no refit).  Requiring
-        # the restart *counter* too keeps a stale not-yet-detected "up"
-        # state from passing the check early.
-        from repro.obs import metrics_snapshot as _snapshot
-
-        budget = fleet.config.restart.backoff(victim.failures or 1) + 15.0
-        restarted = False
-        while time.monotonic() - killed_at < budget:
-            restarts_now = (
-                _snapshot().get("serve.fleet.restarts", {}).get("value", 0)
-            )
-            if restarts_now >= 1 and all(
-                s == UP for s in fleet.worker_states().values()
-            ):
-                restarted = True
-                break
-            await asyncio.sleep(0.1)
-        check(
-            "victim restarted within budget",
-            restarted,
-            f"(states {fleet.worker_states()}, "
-            f"budget {budget:.1f}s)",
-        )
-
-        status, _, body = await http_request(host, port, "GET", "/healthz")
-        check(
-            "healthz recovered",
-            status == 200 and body["status"] == "ok",
-            f"(status {status}, {body.get('status')})",
-        )
-
-        status, _, m = await http_request(host, port, "GET", "/metrics")
-        labeled = [k for k in m["metrics"] if '{worker="' in k]
-        check(
-            "metrics carry worker labels",
-            status == 200 and len(labeled) > 0,
-            f"({len(labeled)} labeled series)",
-        )
-        restarts = m["metrics"].get("serve.fleet.restarts", {}).get("value", 0)
-        check("restart was counted", restarts >= 1, f"(counter {restarts})")
-    finally:
-        await fleet.stop()
-    if not quiet:
-        verdict = "FAILED" if failures else "passed"
-        print(f"[fleet-smoke] {verdict} ({len(failures)} failure(s))")
-    return 1 if failures else 0

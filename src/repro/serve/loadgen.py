@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
+from repro.obs.metrics import _percentile
 from repro.serve.protocol import ClientConnection
 
 #: Default burst body: a grid of point queries (latency per MESIF state
@@ -150,17 +151,6 @@ class LoadgenResult:
                 }
             stats["per_label"] = per_label
         return stats
-
-
-def _percentile(ordered: Sequence[float], q: float) -> float:
-    if not ordered:
-        return math.nan
-    if len(ordered) == 1:
-        return ordered[0]
-    pos = q * (len(ordered) - 1)
-    lo = int(math.floor(pos))
-    hi = int(math.ceil(pos))
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 async def run_loadgen(

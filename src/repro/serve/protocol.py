@@ -14,7 +14,7 @@ wire format on both sides:
   (one server, the fleet proxy) runs per connection, and
   :func:`content_key` — the request identity both route and dedup on;
 * :class:`ClientConnection` / :func:`http_request` — the client used by
-  the load generator, tests, and the ``serve --smoke`` self-check.
+  the load generator and the tests.
 
 Anything malformed raises :class:`ProtocolError` carrying the HTTP
 status the server should answer with; the app layer never has to guess.

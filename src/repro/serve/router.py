@@ -143,19 +143,6 @@ class VersionRing:
         at = bisect.bisect_right(self._points, HashRing._point(key))
         return "canary" if self._canary[at % len(self._points)] else "stable"
 
-    def canary_share(self) -> float:
-        """The *exact* keyspace fraction the canary owns — what the
-        observed ``serve.store.requests`` split converges to under a
-        uniform key workload (the smoke test's reference value)."""
-        span = 1 << 64
-        total = 0
-        for i, point in enumerate(self._points):
-            if not self._canary[i]:
-                continue
-            prev = self._points[i - 1] if i else self._points[-1] - span
-            total += point - prev
-        return total / span
-
 
 class WorkerClient:
     """Pooled keep-alive connections from the front end to one worker.

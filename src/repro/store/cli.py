@@ -8,7 +8,6 @@ Subcommands::
     repro store rollback <slot>           # clear canary / step latest back
     repro store tag <slot> <name> <vid>   # pin a version (gc-proof)
     repro store gc                        # prune unreferenced versions
-    repro store smoke                     # fleet hot-swap drill (CI job)
 
 ``publish`` fits the default configuration (or ``--machine`` preset)
 with the same parameters the server would use, so the published slot is
@@ -19,13 +18,6 @@ publishes to the canary role at N% of ring traffic; promote/rollback
 then move the manifest, and a running fleet picks the change up on its
 next ``POST /v1/admin/reload``.
 
-``smoke`` is the check behind the ``store-smoke`` CI job: it publishes
-a second model version while a loadgen run hammers a 2-worker fleet,
-hot-swaps via the reload broadcast with zero dropped requests and zero
-5xx, verifies the 25% canary split against the
-:class:`~repro.serve.router.VersionRing` allocation, promotes, and
-rolls back to byte-identical responses.
-
 This module reads the wall clock (publish timestamps) — it is the CLI
 edge the DET-scoped :mod:`repro.store.store` pushes its clock reads to.
 """
@@ -33,9 +25,7 @@ edge the DET-scoped :mod:`repro.store.store` pushes its clock reads to.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
-import re
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -123,17 +113,6 @@ def build_store_parser() -> argparse.ArgumentParser:
         "gc", help="delete every version no manifest entry references"
     )
 
-    smoke = sub.add_parser(
-        "smoke",
-        help="fleet hot-swap drill: publish v2 under load, canary 25%%, "
-             "promote, roll back byte-identically (the store-smoke CI "
-             "job)",
-    )
-    smoke.add_argument(
-        "--iterations", type=int, default=3, metavar="N",
-        help="fit iterations for the drill's two versions (default 3)",
-    )
-    smoke.add_argument("--quiet", action="store_true")
     return p
 
 
@@ -309,280 +288,10 @@ def _cmd_gc(store: ArtifactStore) -> int:
     return 0
 
 
-# -- the store-smoke drill ---------------------------------------------------
-
-
-_REQ_METRIC = re.compile(
-    r'^serve\.store\.requests\{version="([0-9a-z]+)"\}\{worker="'
-)
-
-
-async def _version_counts(host: str, port: int) -> Dict[str, float]:
-    """Per-version request counters summed across fleet workers."""
-    from repro.serve.protocol import http_request
-
-    _status, _h, doc = await http_request(host, port, "GET", "/metrics")
-    totals: Dict[str, float] = {}
-    for name, metric in doc["metrics"].items():
-        m = _REQ_METRIC.match(name)
-        if m:
-            totals[m.group(1)] = totals.get(m.group(1), 0.0) + float(
-                metric.get("value", 0)
-            )
-    return totals
-
-
-async def _smoke(iterations: int, quiet: bool) -> int:
-    """Publish / hot-swap / canary / promote / rollback, under load."""
-    import tempfile
-
-    from repro.bench import characterize
-    from repro.machine.machine import KNLMachine
-    from repro.model import derive_capability_model
-    from repro.serve.app import ServeConfig
-    from repro.serve.artifacts import ArtifactRegistry, config_from_json
-    from repro.serve.fleet import Fleet, FleetConfig
-    from repro.serve.loadgen import _distinct_bodies, run_loadgen
-    from repro.serve.protocol import (
-        ClientConnection,
-        content_key,
-        http_request,
-    )
-    from repro.serve.router import VersionRing
-
-    failures: List[str] = []
-
-    def check(label: str, ok: bool, detail: str = "") -> None:
-        if not quiet or not ok:
-            state = "ok" if ok else "FAIL"
-            print(f"[store-smoke] {label:<32s} {state} {detail}".rstrip())
-        if not ok:
-            failures.append(label)
-
-    with tempfile.TemporaryDirectory(prefix="repro-store-smoke-") as tmp:
-        # v1: fit once through the registry — publishes latest into the
-        # store exactly as a cold `repro serve` would.
-        registry = ArtifactRegistry(
-            iterations=iterations, seed=1234, directory=tmp, persist=True
-        )
-        art1 = await registry.get(config_from_json(None))
-        slot, v1 = art1.key, art1.version
-        check(
-            "v1 fitted and published",
-            v1 is not None,
-            f"({str(v1)[:12]})",
-        )
-        if v1 is None:
-            return 1  # nothing downstream can work without a version
-
-        # v2: a genuinely different model (different benchmark seed →
-        # different sampled latencies → different payload and id).
-        config = config_from_json(None)
-        char = characterize(
-            KNLMachine(config, seed=4321), iterations=iterations, seed=4321
-        )
-        cap2 = derive_capability_model(char)
-
-        fleet = Fleet(
-            FleetConfig(
-                workers=2,
-                worker=ServeConfig(
-                    port=0,
-                    iterations=iterations,
-                    persist_artifacts=True,
-                    artifact_dir=tmp,
-                ),
-            ),
-            warm_model=art1.capability.to_dict(),
-        )
-        host, port = await fleet.start()
-        store = ArtifactStore(directory=tmp)
-        try:
-            bodies = _distinct_bodies(96)
-            encoded = [json.dumps(b).encode() for b in bodies]
-
-            # Baseline bytes on v1 — the byte-identity reference the
-            # rollback check replays at the end.
-            conn = ClientConnection(host, port)
-            baseline: List[bytes] = []
-            statuses = []
-            for raw in encoded[:4]:
-                status, _h, body_bytes = await conn.request_bytes(
-                    "POST", "/v1/predict", raw
-                )
-                statuses.append(status)
-                baseline.append(body_bytes)
-            check(
-                "baseline predict on v1",
-                all(s == 200 for s in statuses),
-                f"(statuses {statuses})",
-            )
-
-            # Publish v2 as a 25% canary and hot-reload the fleet WHILE
-            # a distinct-body load runs against it: the swap must drop
-            # nothing and 5xx nothing.
-            load = asyncio.create_task(
-                run_loadgen(
-                    host, port,
-                    endpoint="/v1/predict",
-                    bodies=bodies,
-                    concurrency=16,
-                    requests=384,
-                )
-            )
-            await asyncio.sleep(0.2)
-            rec2 = store.publish(  # repro: noqa[FLOW002] — smoke publishes real wall-clock metadata
-                slot,
-                cap2.to_dict(),
-                timestamp=time.time(),  # repro: noqa[DET001] — CLI edge
-                canary_percent=25.0,
-                notes="store-smoke canary",
-            )
-            v2 = rec2.version_id
-            check("v2 is a distinct version", v2 != v1, f"({v2[:12]})")
-            status, _h, reload_doc = await http_request(
-                host, port, "POST", "/v1/admin/reload"
-            )
-            check(
-                "reload broadcast ok",
-                status == 200 and reload_doc.get("status") == "ok",
-                f"(status {status}, {reload_doc.get('status')})",
-            )
-            result = await load
-            answered = sum(result.status_counts.values())
-            check(
-                "no dropped requests across swap",
-                answered == result.requests,
-                f"({answered}/{result.requests} answered)",
-            )
-            check(
-                "no 5xx across swap",
-                result.server_errors == 0,
-                f"(status counts {result.status_counts})",
-            )
-
-            # Canary split: drive a clean measured burst and compare the
-            # per-version counter deltas against the ring allocation.
-            before = await _version_counts(host, port)
-            measured = await run_loadgen(
-                host, port,
-                endpoint="/v1/predict",
-                bodies=bodies,
-                concurrency=16,
-                requests=384,
-            )
-            check(
-                "measured burst clean",
-                measured.server_errors == 0,
-                f"(status counts {measured.status_counts})",
-            )
-            after = await _version_counts(host, port)
-            delta = {
-                vid: after.get(vid, 0.0) - before.get(vid, 0.0)
-                for vid in after
-            }
-            canary_n = delta.get(v2[:12], 0.0)
-            stable_n = delta.get(v1[:12], 0.0)
-            total = canary_n + stable_n
-            ring = VersionRing(25.0)
-            # json.dumps(b) is loadgen's encoding, byte for byte.
-            keys = [
-                content_key("/v1/predict", json.dumps(b).encode())
-                for b in bodies
-            ]
-            expected = sum(
-                ring.version_for(k) == "canary" for k in keys
-            ) / len(bodies)
-            observed = canary_n / total if total else -1.0
-            check(
-                "canary split matches ring",
-                total > 0 and abs(observed - expected) <= 0.12,
-                f"(observed {observed:.3f}, ring bodies {expected:.3f}, "
-                f"keyspace {ring.canary_share():.3f})",
-            )
-
-            # Republishing the identical payload dedups to the same id
-            # (single-flight across processes for free).
-            rec1b = store.publish(  # repro: noqa[FLOW002] — smoke publishes real wall-clock metadata
-                slot,
-                art1.capability.to_dict(),
-                timestamp=time.time(),  # repro: noqa[DET001] — CLI edge
-            )
-            check(
-                "identical payload dedups",
-                rec1b.version_id == v1,
-                f"({rec1b.short_id})",
-            )
-
-            # Promote: v2 graduates; after a reload the whole fleet
-            # serves it and v1's counter stops moving.
-            store.promote(slot)
-            await http_request(host, port, "POST", "/v1/admin/reload")
-            before = await _version_counts(host, port)
-            await run_loadgen(
-                host, port,
-                endpoint="/v1/predict",
-                bodies=bodies,
-                concurrency=8,
-                requests=96,
-            )
-            after = await _version_counts(host, port)
-            v1_growth = after.get(v1[:12], 0.0) - before.get(v1[:12], 0.0)
-            v2_growth = after.get(v2[:12], 0.0) - before.get(v2[:12], 0.0)
-            check(
-                "promote converges on v2",
-                v1_growth == 0 and v2_growth > 0,
-                f"(v1 +{v1_growth:g}, v2 +{v2_growth:g})",
-            )
-
-            # /v1/machines aggregates per-worker warmth (the old front
-            # end answered warm=null).
-            status, _h, machines_doc = await http_request(
-                host, port, "GET", "/v1/machines"
-            )
-            aggregated = status == 200 and all(
-                isinstance(m.get("warm"), bool)
-                and set(m.get("workers", {})) == {"w0", "w1"}
-                for m in machines_doc.get("machines", [])
-            )
-            check(
-                "machines aggregate worker warmth",
-                aggregated,
-                f"({len(machines_doc.get('machines', []))} presets)",
-            )
-
-            # Rollback: latest steps back to v1; after a reload the
-            # fleet's responses are byte-identical to the baseline.
-            store.rollback(slot)
-            await http_request(host, port, "POST", "/v1/admin/reload")
-            identical = True
-            for raw, expected_bytes in zip(encoded[:4], baseline):
-                _s, _h, body_bytes = await conn.request_bytes(
-                    "POST", "/v1/predict", raw
-                )
-                if body_bytes != expected_bytes:
-                    identical = False
-            check(
-                "rollback restores v1 byte-identically",
-                identical,
-                f"({len(baseline)} bodies compared)",
-            )
-            await conn.close()
-        finally:
-            await fleet.stop()
-
-    if not quiet:
-        verdict = "FAILED" if failures else "passed"
-        print(f"[store-smoke] {verdict} ({len(failures)} failure(s))")
-    return 1 if failures else 0
-
-
 def main_store(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``repro store``."""
     args = build_store_parser().parse_args(argv)
     try:
-        if args.action == "smoke":
-            return asyncio.run(_smoke(args.iterations, args.quiet))
         store = ArtifactStore(directory=args.dir)
         if args.action == "list":
             return _cmd_list(store, args.json)

@@ -361,6 +361,18 @@ class TestMultiprocessStress:
             str(tmp_path), procs=2, items=12, blob_size=256
         ) == []
 
+    @pytest.mark.parametrize(
+        "phase", ["stress_lost_updates", "stress_churn"]
+    )
+    def test_both_phases_hold_at_ci_scale(self, tmp_path, phase):
+        """Four writers, 25 keys each, 512-byte blobs."""
+        from repro.cache import stress
+
+        run_phase = getattr(stress, phase)
+        assert run_phase(
+            str(tmp_path), procs=4, items=25, blob_size=512
+        ) == []
+
 
 class TestServeByteIdentity:
     """Satellite acceptance: the ported serve layers answer with the

@@ -9,7 +9,9 @@ import asyncio
 
 import pytest
 
+from repro.bench import characterize
 from repro.machines import DEFAULT_MACHINE, get_machine, list_machines
+from repro.model import derive_capability_model
 from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.artifacts import ArtifactRegistry
 from repro.serve.protocol import http_request
@@ -70,21 +72,35 @@ class TestMachinesEndpoint:
 
 
 class TestMachineSelection:
-    def test_predict_carries_machine_name(self, app):
+    def test_predict_carries_machine_name(self, registry, app):
+        # numa-2s answers from its own fitted model, not the KNL one the
+        # fixture preloaded under every preset.
+        rm = get_machine("numa-2s")
+        own = derive_capability_model(
+            characterize(rm.build(seed=1234), iterations=3, seed=1234)
+        )
+        registry.preload_machine(rm, own)
+        bandwidth = {"metric": "bandwidth", "op": "copy", "kind": "mcdram"}
+
         async def client(host, port):
-            return await http_request(
+            selected = await http_request(
                 host, port, "POST", "/v1/predict",
                 {
                     "machine": "numa-2s",
                     "queries": [{"metric": "latency",
-                                 "location": "local"}],
+                                 "location": "local"}, bandwidth],
                 },
             )
+            default = await http_request(
+                host, port, "POST", "/v1/predict", {"queries": [bandwidth]}
+            )
+            return selected, default
 
-        status, _, body = serve(app, client)
-        assert status == 200
+        (status, _, body), (d_status, _, d_body) = serve(app, client)
+        assert status == 200 and d_status == 200
         assert body["machine"] == "numa-2s"
         assert body["results"][0]["unit"] == "ns"
+        assert body["results"][1]["value"] != d_body["results"][0]["value"]
 
     def test_default_request_has_no_machine_field(self, app):
         async def client(host, port):

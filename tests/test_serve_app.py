@@ -378,6 +378,25 @@ class TestServeCli:
         assert config.deadlines["/v1/tune"] == pytest.approx(90.0)
         assert config.deadlines["/v1/advise"] == DEFAULT_DEADLINES["/v1/advise"]
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "/v1/predict=abc",
+            "foo",
+            "/v1/predict=-1",
+            "/v1/predict=0",
+            "/v1/predict=inf",
+            "/v1/predict=nan",
+            "/v1/nope=3",
+            "/healthz=3",
+        ],
+    )
+    def test_bad_deadline_is_a_usage_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_serve_parser().parse_args(["--deadline", spec])
+        assert exc.value.code == 2
+        assert "--deadline" in capsys.readouterr().err
+
     def test_unbatched_config_constructor(self):
         config = ServeConfig.unbatched(queue_limit=7)
         assert config.window_s == 0 and config.max_batch == 1

@@ -28,7 +28,7 @@ from repro.serve.fleet import (
     fleet_config_from_args,
 )
 from repro.serve.loadgen import run_loadgen
-from repro.serve.protocol import http_request
+from repro.serve.protocol import content_key, http_request
 from repro.serve.router import HashRing, WorkerClient
 
 pytestmark = pytest.mark.skipif(
@@ -187,6 +187,12 @@ def make_fleet(capability, workers=2, **fleet_kw):
 PREDICT_BODY = {"queries": [{"metric": "latency", "location": "local"}]}
 
 
+async def restart_count(host, port):
+    """The front end's ``serve.fleet.restarts`` counter."""
+    _, _, doc = await http_request(host, port, "GET", "/metrics")
+    return doc["metrics"].get("serve.fleet.restarts", {}).get("value", 0)
+
+
 class TestFleetServing:
     def test_boot_route_and_drain(self, capability):
         async def go():
@@ -328,6 +334,7 @@ class TestFleetSupervision:
             )
             host, port = await fleet.start()
             try:
+                restarts_before = await restart_count(host, port)
                 victim = fleet._workers["w0"]
                 victim_pid = victim.process.pid
                 os.kill(victim_pid, signal.SIGKILL)
@@ -343,6 +350,12 @@ class TestFleetSupervision:
                     await asyncio.sleep(0.05)
                 fresh = fleet._workers["w0"]
                 assert fresh.state == UP and fresh.process.pid != victim_pid
+                # The front end counted the restart and reports healthy.
+                assert await restart_count(host, port) >= restarts_before + 1
+                status, _, health = await http_request(
+                    host, port, "GET", "/healthz"
+                )
+                assert status == 200 and health["status"] == "ok"
 
                 # The ring has the replacement; queries flow again.
                 burst = await run_loadgen(
@@ -378,11 +391,9 @@ class TestFleetSupervision:
                 await asyncio.sleep(0.1)
                 # Kill the owner of the burst's content key — the worker
                 # actually holding the load.
-                import hashlib
-
-                key = hashlib.sha256(
-                    b"/v1/predict\0" + json.dumps(PREDICT_BODY).encode()
-                ).hexdigest()
+                key = content_key(
+                    "/v1/predict", json.dumps(PREDICT_BODY).encode()
+                )
                 owner = fleet._ring.node_for(key)
                 os.kill(fleet._workers[owner].process.pid, signal.SIGKILL)
                 result = await asyncio.wait_for(load, timeout=60.0)
@@ -393,6 +404,11 @@ class TestFleetSupervision:
                 )
                 assert hard == 0, f"5xx storm: {result.status_counts}"
                 assert result.status_counts.get(200, 0) > 0
+                # Failover is fast: at most half the load sees a 503.
+                unavailable = result.status_counts.get(503, 0)
+                assert unavailable <= result.requests // 2, (
+                    f"{unavailable}/{result.requests} answered 503"
+                )
             finally:
                 await fleet.stop()
 
@@ -432,6 +448,44 @@ class TestFleetDrain:
         run(go())
 
 
+def two_version_store(tmp_path, snc4_flat_config, capability):
+    """A shared store holding v1 as latest, a 2-worker fleet over it,
+    and a v2 payload (``r_local`` + 1) ready to publish."""
+    from repro.serve.artifacts import ArtifactRegistry
+
+    store_dir = str(tmp_path / "artifacts")
+    parent = ArtifactRegistry(directory=store_dir, persist=True)
+    parent.preload(snc4_flat_config, capability, persist=True)
+    slot = parent.key_for(snc4_flat_config)
+    v2_payload = capability.to_dict()
+    v2_payload["r_local"] = v2_payload["r_local"] + 1.0
+    fleet = make_fleet(
+        capability,
+        worker=ServeConfig(persist_artifacts=True, artifact_dir=store_dir),
+    )
+    return parent.store, slot, v2_payload, fleet
+
+
+def distinct_bodies(n):
+    """Distinct content keys (so they land on *both* workers) whose first
+    query reads the serving model's ``r_local`` directly."""
+    return [
+        {"queries": [
+            {"metric": "latency", "location": "local"},
+            {"metric": "contention", "n": i},
+        ]}
+        for i in range(1, n + 1)
+    ]
+
+
+async def assert_serves_rl(host, port, rl):
+    for body in distinct_bodies(8):
+        _, _, out = await http_request(
+            host, port, "POST", "/v1/predict", body
+        )
+        assert out["results"][0]["value"] == pytest.approx(rl)
+
+
 class TestFleetReload:
     def test_reload_broadcast_swaps_every_worker(
         self, capability, snc4_flat_config, tmp_path
@@ -439,31 +493,15 @@ class TestFleetReload:
         """Publish v2 into the shared store directory, broadcast one
         ``POST /v1/admin/reload`` through the front end, and every
         worker serves the new model — no restarts anywhere."""
-        from repro.serve.artifacts import ArtifactRegistry
-
-        store_dir = str(tmp_path / "artifacts")
-        parent = ArtifactRegistry(directory=store_dir, persist=True)
-        parent.preload(snc4_flat_config, capability, persist=True)
-        slot = parent.key_for(snc4_flat_config)
-        v2_payload = capability.to_dict()
-        v2_payload["r_local"] = v2_payload["r_local"] + 1.0
+        store, slot, v2_payload, fleet = two_version_store(
+            tmp_path, snc4_flat_config, capability
+        )
 
         async def go():
-            fleet = make_fleet(
-                capability,
-                worker=ServeConfig(
-                    persist_artifacts=True, artifact_dir=store_dir
-                ),
-            )
             host, port = await fleet.start()
             try:
-                _, _, out = await http_request(
-                    host, port, "POST", "/v1/predict", PREDICT_BODY
-                )
-                assert out["results"][0]["value"] == pytest.approx(
-                    capability.RL
-                )
-                parent.store.publish(slot, v2_payload, timestamp=1.0)
+                await assert_serves_rl(host, port, capability.RL)
+                store.publish(slot, v2_payload, timestamp=1.0)
                 status, _, doc = await http_request(
                     host, port, "POST", "/v1/admin/reload"
                 )
@@ -472,19 +510,46 @@ class TestFleetReload:
                 for worker_doc in doc["workers"].values():
                     assert worker_doc["status"] == "ok"
                     assert worker_doc["slots"][slot]["swapped"] is True
-                # Distinct bodies land on *both* workers; each must
-                # serve v2 now.
-                for n in range(1, 9):
-                    _, _, out = await http_request(
-                        host, port, "POST", "/v1/predict",
-                        {"queries": [
-                            {"metric": "latency", "location": "local"},
-                            {"metric": "contention", "n": n},
-                        ]},
+                await assert_serves_rl(host, port, capability.RL + 1.0)
+            finally:
+                await fleet.stop()
+
+        run(go())
+
+    def test_reload_under_load_drops_nothing(
+        self, capability, snc4_flat_config, tmp_path
+    ):
+        """The hot swap happens while distinct-body traffic is in
+        flight: every request is answered, none with a 5xx, and the
+        fleet serves v2 afterwards."""
+        store, slot, v2_payload, fleet = two_version_store(
+            tmp_path, snc4_flat_config, capability
+        )
+
+        async def go():
+            host, port = await fleet.start()
+            try:
+                load = asyncio.create_task(
+                    run_loadgen(
+                        host, port,
+                        endpoint="/v1/predict",
+                        bodies=distinct_bodies(96),
+                        concurrency=16,
+                        requests=768,
                     )
-                    assert out["results"][0]["value"] == pytest.approx(
-                        capability.RL + 1.0
-                    )
+                )
+                await asyncio.sleep(0.1)
+                assert not load.done(), "the swap must land mid-load"
+                store.publish(slot, v2_payload, timestamp=1.0)
+                status, _, doc = await http_request(
+                    host, port, "POST", "/v1/admin/reload"
+                )
+                assert status == 200 and doc["status"] == "ok"
+                result = await asyncio.wait_for(load, timeout=60.0)
+                answered = sum(result.status_counts.values())
+                assert answered == result.requests
+                assert result.server_errors == 0, result.status_counts
+                await assert_serves_rl(host, port, capability.RL + 1.0)
             finally:
                 await fleet.stop()
 

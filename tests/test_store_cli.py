@@ -2,8 +2,8 @@
 
 Every test drives :func:`main_store` in-process against a temp store
 directory — no fitting (payloads come from the session capability
-fixture via ``--from-file``) and no fleet (the smoke drill itself runs
-in CI as the ``store-smoke`` job, not here).
+fixture via ``--from-file``) and no fleet (the fleet-level hot swap is
+covered by ``tests/test_serve_fleet.py::TestFleetReload``).
 """
 
 import json
@@ -58,7 +58,6 @@ class TestParser:
             ["publish", "--from-file", "x.json", "--canary", "25"]
         )
         assert args.canary == 25.0
-        assert p.parse_args(["smoke", "--quiet"]).quiet is True
 
 
 class TestPublishAndList:

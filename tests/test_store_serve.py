@@ -3,12 +3,11 @@
 These tests boot a real ``ServeApp`` over a *persistent* store in a
 temp directory, publish new versions behind its back (as the CLI or
 another process would), and drive ``POST /v1/admin/reload`` — the
-single-process half of the acceptance criteria the fleet-level
-``repro store smoke`` drill exercises end to end.
+single-process half of the hot-swap story; the fleet-level half lives
+in ``tests/test_serve_fleet.py::TestFleetReload``.
 """
 
 import asyncio
-import hashlib
 import json
 
 import pytest
@@ -16,7 +15,7 @@ import pytest
 from repro.obs import reset_metrics
 from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.artifacts import ArtifactRegistry
-from repro.serve.protocol import ClientConnection, http_request
+from repro.serve.protocol import ClientConnection, content_key, http_request
 from repro.serve.router import VersionRing
 
 
@@ -25,13 +24,6 @@ def run(coro):
 
 
 PREDICT_BODY = {"queries": [{"metric": "latency", "location": "local"}]}
-
-
-def content_key(body):
-    """The exact key the app derives: SHA-256 of endpoint + raw body."""
-    return hashlib.sha256(
-        b"/v1/predict\0" + json.dumps(body).encode()
-    ).hexdigest()
 
 
 def distinct_bodies(n):
@@ -201,9 +193,9 @@ class TestCanaryRouting:
         registry.reload()
         bodies = distinct_bodies(32)
         ring = VersionRing(25.0)
-        expected = [
-            ring.version_for(content_key(b)) == "canary" for b in bodies
-        ]
+        keys = [content_key("/v1/predict", json.dumps(b).encode())
+                for b in bodies]
+        expected = [ring.version_for(k) == "canary" for k in keys]
         # A 25% ring over 32 keys that routed nothing either way would
         # make this test vacuous; the split is deterministic, so assert
         # both versions actually appear.
