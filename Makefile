@@ -2,11 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint lint-fast bench bench-only experiments examples outputs clean
-
-# Semantic-lint cache shared by lint / lint-fast (content-addressed:
-# stale entries are overwritten, never trusted).
-LINT_CACHE ?= .lint-cache
+.PHONY: install test lint bench bench-only experiments examples outputs clean
 
 install:
 	pip install -e '.[test]' || pip install -e . --no-build-isolation
@@ -15,12 +11,7 @@ test:
 	$(PY) -m pytest tests/
 
 lint:
-	$(PY) -m repro lint --baseline --cache-dir $(LINT_CACHE)
-
-# Pre-commit loop: only files changed vs HEAD plus their transitive
-# importers (per the import map the full pass caches), warm-served.
-lint-fast:
-	$(PY) -m repro lint --changed --cache-dir $(LINT_CACHE)
+	$(PY) -m repro lint --baseline
 
 bench:
 	$(PY) -m pytest benchmarks/

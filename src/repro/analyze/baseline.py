@@ -75,6 +75,8 @@ class Baseline:
                 doc = json.load(fh)
         except ValueError as e:
             raise AnalysisError(f"baseline {path} is not valid JSON: {e}")
+        if not isinstance(doc, dict):
+            raise AnalysisError(f"baseline {path} is not a JSON object")
         if doc.get("schema_version") != BASELINE_SCHEMA_VERSION:
             raise AnalysisError(
                 f"baseline {path} has schema_version "
@@ -83,7 +85,19 @@ class Baseline:
                 "--update-baseline"
             )
         entries = doc.get("entries", {})
-        counts = {k: int(v.get("count", 1)) for k, v in entries.items()}
+        if not isinstance(entries, dict) or not all(
+            isinstance(v, dict) for v in entries.values()
+        ):
+            raise AnalysisError(
+                f"baseline {path}: 'entries' must map each identity to "
+                "an object — regenerate with --update-baseline"
+            )
+        try:
+            counts = {k: int(v.get("count", 1)) for k, v in entries.items()}
+        except (TypeError, ValueError) as e:
+            raise AnalysisError(
+                f"baseline {path} has a non-integer count: {e}"
+            ) from e
         meta = {
             k: {kk: vv for kk, vv in v.items() if kk != "count"}
             for k, v in entries.items()

@@ -12,14 +12,11 @@ import json
 import sys
 from typing import List, Optional
 
-import os
-
 from repro.errors import AnalysisError, ReproError
 from repro.analyze.baseline import Baseline, default_baseline_path
-from repro.analyze.engine import analyze_paths, default_targets, repo_root
-from repro.analyze.rules import all_rule_ids, make_rules
+from repro.analyze.engine import analyze_paths, default_targets
+from repro.analyze.rules import make_rules
 from repro.analyze.sarif import to_sarif
-from repro.analyze.semantic import SemanticCache
 
 
 def build_lint_parser():
@@ -52,18 +49,6 @@ def build_lint_parser():
         help="print the rule catalog and exit",
     )
     p.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="scan only files that differ from the git ref (default "
-             "HEAD) plus their transitive importers per the cached "
-             "import graph",
-    )
-    p.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="enable the incremental semantic cache in DIR: unchanged "
-             "files are served from content-addressed entries without "
-             "re-parsing",
-    )
-    p.add_argument(
         "--show-suppressed", action="store_true",
         help="list every finding a 'repro: noqa' marker dropped this pass",
     )
@@ -84,31 +69,6 @@ def build_lint_parser():
     )
     p.add_argument("--quiet", action="store_true")
     return p
-
-
-def _changed_targets(args) -> Optional[List[str]]:
-    """Absolute paths to lint for ``--changed``, or None when nothing
-    relevant changed.  Positional paths (if any) restrict the scope."""
-    from repro.analyze.changed import changed_set
-
-    root = repo_root()
-    cset = changed_set(root, ref=args.changed, cache_dir=args.cache_dir)
-    if cset.importmap_missing and args.cache_dir and not args.quiet:
-        print(
-            "[lint] no import map yet (first cached run?) — scanning "
-            "changed files without dependents",
-            file=sys.stderr,
-        )
-    scopes = [os.path.abspath(p) for p in args.paths]
-    targets = []
-    for rel in cset.paths:
-        ap = os.path.join(root, rel)
-        if scopes and not any(
-            ap == s or ap.startswith(s + os.sep) for s in scopes
-        ):
-            continue
-        targets.append(ap)
-    return targets or None
 
 
 def _validate_rules(rule_ids: Optional[List[str]]) -> Optional[List[str]]:
@@ -132,22 +92,7 @@ def main_lint(argv=None) -> int:
             _print_rules()
             return 0
         rules = _validate_rules(args.rule)
-        cache = (
-            SemanticCache(args.cache_dir) if args.cache_dir else None
-        )
-        if args.changed is not None:
-            targets = _changed_targets(args)
-            if targets is None:
-                if not args.quiet:
-                    print(
-                        f"[lint] no python files changed vs "
-                        f"{args.changed}",
-                        file=sys.stderr,
-                    )
-                return 0
-        else:
-            targets = args.paths or default_targets()
-        report = analyze_paths(targets, rules=rules, cache=cache)
+        report = analyze_paths(args.paths or default_targets(), rules=rules)
 
         baseline_path = args.baseline_file or default_baseline_path()
         if args.update_baseline:
@@ -176,15 +121,10 @@ def main_lint(argv=None) -> int:
                 )
         if not args.quiet and args.format == "text":
             vs = " new vs baseline" if args.baseline else ""
-            cache_note = (
-                f", cache {report.cache_hits}/{report.files_scanned} warm"
-                if cache is not None
-                else ""
-            )
             print(
                 f"[lint] {report.files_scanned} file(s), "
                 f"{len(gated)} finding(s){vs}, "
-                f"{report.suppressed} suppressed{cache_note}"
+                f"{report.suppressed} suppressed"
                 + (f", {stale} stale baseline entr(ies)" if stale else ""),
                 file=sys.stderr,
             )

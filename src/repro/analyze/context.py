@@ -73,32 +73,13 @@ class NoqaMarker:
     file_level: bool = False
     used: Set[str] = field(default_factory=set)
 
-    def to_dict(self) -> dict:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "ids": list(self.ids),
-            "file_level": self.file_level,
-            "used": sorted(self.used),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NoqaMarker":
-        return cls(
-            line=doc["line"],
-            col=doc["col"],
-            ids=tuple(doc["ids"]),
-            file_level=doc["file_level"],
-            used=set(doc.get("used", ())),
-        )
-
 
 class NoqaMap:
-    """The suppression markers of one file, queryable without its AST.
+    """The suppression markers of one file.
 
-    Lives apart from :class:`FileContext` so the engine can filter
-    *project-rule* findings for files whose per-file pass came from the
-    semantic cache (no re-parse, no context object).
+    Outlives its :class:`FileContext`: the engine filters pass-level
+    (OBS001) findings and judges stale markers (SUP001) through it
+    after every file's per-file rules have run.
     """
 
     def __init__(self, markers: List[NoqaMarker]) -> None:
@@ -142,13 +123,6 @@ class NoqaMap:
                 marker.used.add(token)
                 matched.append(marker)
         return matched
-
-    def to_dicts(self) -> List[dict]:
-        return [m.to_dict() for m in self.markers]
-
-    @classmethod
-    def from_dicts(cls, docs: List[dict]) -> "NoqaMap":
-        return cls([NoqaMarker.from_dict(d) for d in docs])
 
 
 def _matching_token(tokens: Tuple[str, ...], rule_id: str) -> Optional[str]:

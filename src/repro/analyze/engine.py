@@ -1,58 +1,38 @@
 """The analysis engine: walk sources, run rules, filter suppressions.
 
-Two stages per pass:
-
-1. **Per-file** — parse each file into a
-   :class:`~repro.analyze.context.FileContext` (parent links + noqa
-   map), run every selected per-file rule, drop suppressed findings,
-   and extract the file's semantic
-   :class:`~repro.analyze.semantic.ModuleSummary`.  With a
-   :class:`~repro.analyze.semantic.SemanticCache` attached, this whole
-   stage is content-addressed per file: an unchanged file is neither
-   re-parsed nor re-checked.
-2. **Project** — stitch the summaries into a
-   :class:`~repro.analyze.semantic.ProjectModel` (import graph, call
-   graph, propagated blocks/taint) and run the whole-program rules
-   (FLOW/RACE/OBS packs) against it; their findings flow through the
-   same per-file noqa filter.  Finally SUP001 reports noqa markers
-   that suppressed nothing.
+One stage per file: parse it into a
+:class:`~repro.analyze.context.FileContext` (parent links + noqa map),
+run every selected rule, and drop the suppressed findings.  Two rules
+then judge the pass as a whole: OBS001 reconciles the metric names
+every file emits against the ``docs/OBSERVABILITY.md`` glossary
+(whole-tree scans only), and SUP001 reports noqa markers that
+suppressed nothing.  OBS001 findings go through the same per-file
+noqa filter.
 
 All policy lives in the rules; all reporting lives in the formatters;
 CI gating lives in :mod:`~repro.analyze.baseline`.
 
 Observability: ``lint.files`` counts files scanned, ``lint.findings``
-and ``lint.findings.<RULE>`` count surviving findings,
-``lint.semantic.cache.hits``/``.misses``/``.writes`` count cache
-traffic and ``lint.semantic.parses`` the files that had to be parsed;
-the whole pass runs under a ``lint.run`` span with a
-``lint.semantic.project`` span around graph assembly + project rules.
+and ``lint.findings.<RULE>`` count surviving findings and
+``lint.suppressed`` the dropped ones; the whole pass runs under a
+``lint.run`` span with a ``lint.file`` span per file.
 """
 
 from __future__ import annotations
 
 import ast
-import json
+import importlib.util
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.analyze.context import FileContext, NoqaMap
 from repro.analyze.findings import Finding
 from repro.analyze.rules import Rule, make_rules
-from repro.analyze.rules.base import ProjectRule
-from repro.analyze.semantic import (
-    ModuleSummary,
-    SemanticCache,
-    build_project,
-    summarize_module,
-)
-from repro.analyze.semantic.cache import entry_key
+from repro.analyze.rules.obsdoc import glossary_drift, metric_sites
+from repro.analyze.rules.sup import stale_suppressions
 from repro.obs import counter, span
-
-#: File name of the import-map sidecar ``--changed`` reads (written
-#: into the semantic cache directory after every cached full pass).
-IMPORTMAP_FILENAME = "importmap.json"
 
 
 @dataclass
@@ -63,23 +43,6 @@ class SuppressionHit:
     path: str
     line: int
     marker_line: int
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule_id,
-            "path": self.path,
-            "line": self.line,
-            "marker_line": self.marker_line,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SuppressionHit":
-        return cls(
-            rule_id=doc["rule"],
-            path=doc["path"],
-            line=doc["line"],
-            marker_line=doc["marker_line"],
-        )
 
 
 @dataclass
@@ -92,9 +55,6 @@ class AnalysisReport:
     suppressed: int = 0
     #: Every suppression, itemized (``--show-suppressed``).
     suppressed_hits: List[SuppressionHit] = field(default_factory=list)
-    #: Semantic-cache traffic for this pass (0/0 when uncached).
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def ok(self) -> bool:
@@ -176,11 +136,32 @@ class _FileResult:
     findings: List[Finding]
     suppressed_hits: List[SuppressionHit]
     noqa: NoqaMap
-    summary: ModuleSummary
+    #: OBS001 emission sites (collected on whole-tree passes only).
+    metrics: List[Tuple[str, str, int]]
+
+
+def _hits(finding: Finding, matched) -> List[SuppressionHit]:
+    return [
+        SuppressionHit(
+            rule_id=finding.rule_id,
+            path=finding.path,
+            line=finding.line,
+            marker_line=m.line,
+        )
+        for m in matched
+    ]
+
+
+def _decode(raw: bytes, path: str) -> str:
+    """Source text per PEP 263 (``coding:`` cookie, BOM, else UTF-8)."""
+    try:
+        return importlib.util.decode_source(raw)
+    except (SyntaxError, UnicodeDecodeError) as e:
+        raise AnalysisError(f"cannot decode {path}: {e}") from e
 
 
 def _run_file_rules(
-    source: str, path: str, rules: Sequence[Rule]
+    source: str, path: str, rules: Sequence[Rule], collect_metrics: bool
 ) -> _FileResult:
     try:
         tree = ast.parse(source, filename=path)
@@ -188,7 +169,6 @@ def _run_file_rules(
         raise AnalysisError(
             f"cannot parse {path}: line {e.lineno}: {e.msg}"
         ) from e
-    counter("lint.semantic.parses").inc()
     ctx = FileContext(path, source, tree)
     findings: List[Finding] = []
     hits: List[SuppressionHit] = []
@@ -197,15 +177,7 @@ def _run_file_rules(
             for finding in rule.check(ctx):
                 matched = ctx.noqa.suppress(finding.rule_id, finding.line)
                 if matched:
-                    hits.extend(
-                        SuppressionHit(
-                            rule_id=finding.rule_id,
-                            path=path,
-                            line=finding.line,
-                            marker_line=m.line,
-                        )
-                        for m in matched
-                    )
+                    hits.extend(_hits(finding, matched))
                 else:
                     findings.append(finding)
     return _FileResult(
@@ -213,77 +185,37 @@ def _run_file_rules(
         findings=findings,
         suppressed_hits=hits,
         noqa=ctx.noqa,
-        summary=summarize_module(path, tree),
+        metrics=metric_sites(ctx) if collect_metrics else [],
     )
 
 
-def _result_to_doc(result: _FileResult) -> dict:
-    return {
-        "findings": [f.to_dict() for f in result.findings],
-        "suppressed_hits": [h.to_dict() for h in result.suppressed_hits],
-        "noqa": result.noqa.to_dicts(),
-        "summary": result.summary.to_dict(),
-    }
+# -- whole-pass rules -------------------------------------------------------
 
 
-def _result_from_doc(path: str, doc: dict) -> _FileResult:
-    return _FileResult(
-        path=path,
-        findings=[Finding.from_dict(d) for d in doc["findings"]],
-        suppressed_hits=[
-            SuppressionHit.from_dict(d) for d in doc["suppressed_hits"]
-        ],
-        noqa=NoqaMap.from_dicts(doc["noqa"]),
-        summary=ModuleSummary.from_dict(doc["summary"]),
-    )
-
-
-# -- project stage ----------------------------------------------------------
-
-
-def _run_project_stage(
+def _run_pass_rules(
     results: List[_FileResult],
-    project_rules: Sequence[ProjectRule],
     selected_ids: List[str],
     full_set: bool,
     full_tree: bool,
     base: str,
     report: AnalysisReport,
 ) -> None:
-    by_path: Dict[str, _FileResult] = {r.path: r for r in results}
-    if project_rules:
-        with span(
-            "lint.semantic.project", category="lint", files=len(results)
-        ):
-            project = build_project(
-                [r.summary for r in results],
-                full_tree=full_tree,
-                root=base,
+    if full_tree and "OBS001" in selected_ids:
+        noqa_of = {r.path: r.noqa for r in results}
+        emitted = [site for r in results for site in r.metrics]
+        for finding in glossary_drift(emitted, base):
+            noqa = noqa_of.get(finding.path)
+            matched = (
+                noqa.suppress(finding.rule_id, finding.line)
+                if noqa is not None
+                else None
             )
-            for rule in project_rules:
-                for finding in rule.check_project(project):
-                    result = by_path.get(finding.path)
-                    matched = (
-                        result.noqa.suppress(finding.rule_id, finding.line)
-                        if result is not None
-                        else None
-                    )
-                    if matched:
-                        report.suppressed += len(matched)
-                        report.suppressed_hits.extend(
-                            SuppressionHit(
-                                rule_id=finding.rule_id,
-                                path=finding.path,
-                                line=finding.line,
-                                marker_line=m.line,
-                            )
-                            for m in matched
-                        )
-                    else:
-                        report.findings.append(finding)
+            if matched:
+                report.suppressed += len(matched)
+                report.suppressed_hits.extend(_hits(finding, matched))
+            else:
+                report.findings.append(finding)
     if "SUP001" in selected_ids:
-        from repro.analyze.rules.sup import stale_suppressions
-
         for result in results:
             # stale_suppressions handles its own (explicit-token-only)
             # suppression — a generic noqa filter here would let a bare
@@ -307,21 +239,15 @@ def analyze_source(
 
     ``path`` is virtual but meaningful: rules scope themselves by it
     (``src/repro/sim/x.py`` gets the DET pack, ``src/repro/serve/x.py``
-    the ASY pack).  Whole-program rules see a one-file project, so
-    intra-file call chains (an ``async def`` reaching a blocking helper
-    two hops down) still resolve.  Returns surviving findings sorted by
-    location.
+    the ASY pack).  A one-file pass is never a whole-tree scan, so
+    OBS001 stays quiet.  Returns surviving findings sorted by location.
     """
     rule_objs = make_rules(rules)
-    selected_ids = [r.id for r in rule_objs]
-    file_rules = [r for r in rule_objs if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rule_objs if isinstance(r, ProjectRule)]
-    result = _run_file_rules(source, path, file_rules)
+    result = _run_file_rules(source, path, rule_objs, collect_metrics=False)
     report = AnalysisReport(findings=list(result.findings), files_scanned=1)
-    _run_project_stage(
+    _run_pass_rules(
         [result],
-        project_rules,
-        selected_ids,
+        [r.id for r in rule_objs],
         full_set=rules is None,
         full_tree=False,
         base="",
@@ -335,21 +261,17 @@ def analyze_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[str]] = None,
     root: Optional[str] = None,
-    cache: Optional[SemanticCache] = None,
 ) -> AnalysisReport:
     """Analyze every ``.py`` file under each path.
 
-    ``cache`` (a :class:`~repro.analyze.semantic.SemanticCache`) makes
-    the per-file stage incremental: unchanged files are served from
-    content-addressed entries without parsing.  Raises
-    :class:`AnalysisError` for a missing path, a target with no python
-    files, or an unparseable file — *running* the lint failing is
-    distinct from the lint *finding* something.
+    Raises :class:`AnalysisError` for a missing path, a target with no
+    python files, or an undecodable or unparseable file — *running*
+    the lint failing is distinct from the lint *finding* something.
     """
     rule_objs = make_rules(rules)
     selected_ids = [r.id for r in rule_objs]
-    file_rules = [r for r in rule_objs if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rule_objs if isinstance(r, ProjectRule)]
+    full_tree = _covers_package(paths)
+    collect_metrics = full_tree and "OBS001" in selected_ids
     base = root or repo_root()
     report = AnalysisReport()
     results: List[_FileResult] = []
@@ -368,61 +290,26 @@ def analyze_paths(
             with open(fp, "rb") as fh:
                 raw = fh.read()
             relpath = _relative_path(fp, base)
-            result = None
-            key = ""
-            if cache is not None:
-                key = entry_key(raw, selected_ids)
-                doc = cache.get(relpath, key)
-                if doc is not None:
-                    result = _result_from_doc(relpath, doc)
-            if result is None:
-                result = _run_file_rules(
-                    raw.decode("utf-8"), relpath, file_rules
-                )
-                if cache is not None:
-                    cache.put(relpath, key, _result_to_doc(result))
+            result = _run_file_rules(
+                _decode(raw, relpath), relpath, rule_objs, collect_metrics
+            )
             results.append(result)
             report.files_scanned += 1
             counter("lint.files").inc()
             report.findings.extend(result.findings)
             report.suppressed += len(result.suppressed_hits)
             report.suppressed_hits.extend(result.suppressed_hits)
-        _run_project_stage(
+        _run_pass_rules(
             results,
-            project_rules,
             selected_ids,
             full_set=rules is None,
-            full_tree=_covers_package(paths),
+            full_tree=full_tree,
             base=base,
             report=report,
         )
-    if cache is not None:
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
-        _write_importmap(cache, results)
     report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     counter("lint.findings").inc(len(report.findings))
     counter("lint.suppressed").inc(report.suppressed)
     for rule_id, n in report.by_rule().items():
         counter(f"lint.findings.{rule_id}").inc(n)
     return report
-
-
-def _write_importmap(
-    cache: SemanticCache, results: List[_FileResult]
-) -> None:
-    """Sidecar for ``--changed``: module → imports (as written) and
-    path → module, from the freshest summaries available."""
-    from repro.runtime.cache import atomic_write
-
-    doc = {
-        "modules": {
-            r.summary.module: sorted(set(r.summary.imports))
-            for r in results
-        },
-        "paths": {r.path: r.summary.module for r in results},
-    }
-    atomic_write(
-        os.path.join(cache.directory, IMPORTMAP_FILENAME),
-        json.dumps(doc, sort_keys=True).encode(),
-    )

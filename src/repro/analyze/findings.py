@@ -80,20 +80,6 @@ class Finding:
             "end_col": self.end_col,
         }
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule_id=doc["rule"],
-            path=doc["path"],
-            line=doc["line"],
-            col=doc["col"],
-            message=doc["message"],
-            severity=Severity(doc["severity"]),
-            snippet=doc.get("snippet", ""),
-            end_line=doc.get("end_line", 0),
-            end_col=doc.get("end_col", 0),
-        )
-
     def to_text(self) -> str:
         return (
             f"{self.location()}: {self.rule_id} "

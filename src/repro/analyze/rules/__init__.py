@@ -5,11 +5,9 @@ in the simulation/model/runtime core), ASY (event-loop and shared-state
 discipline in serve/ and runtime/), UNIT (unit-convention violations
 against :mod:`repro.units`), REG (experiment-registry and schema
 contracts), CACHE (no ad-hoc LRUs outside :mod:`repro.cache`), and the
-whole-program packs riding the semantic layer —
-FLOW (cross-file blocking reachability and taint flow), RACE
-(loop-vs-worker shared-state races), OBS (metrics-glossary sync), SUP
-(stale suppressions).  ``docs/LINTING.md`` is the human-facing
-catalog; a coverage test keeps the two in sync.
+two packs the engine judges once per pass — OBS (metrics-glossary
+sync) and SUP (stale suppressions).  ``docs/LINTING.md`` is the
+human-facing catalog; a coverage test keeps the two in sync.
 """
 
 from __future__ import annotations
@@ -22,11 +20,8 @@ from repro.analyze.rules.base import (
     register_rule,
 )
 
-# Importing the packs registers their rules.  flow/race/obsdoc/sup
-# import the semantic layer, which imports vocabularies from asy/det —
-# keep those first.
-from repro.analyze.rules import asy, cache, det, reg, unit  # noqa: F401  (import-for-effect)
-from repro.analyze.rules import flow, obsdoc, race, sup  # noqa: F401  (import-for-effect)
+# Importing the packs registers their rules.
+from repro.analyze.rules import asy, cache, det, obsdoc, reg, sup, unit  # noqa: F401  (import-for-effect)
 
 __all__ = [
     "Rule",

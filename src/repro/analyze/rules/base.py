@@ -54,42 +54,30 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """A rule that needs the whole program, not one file.
+class PassRule(Rule):
+    """A rule the engine judges once per pass, not once per file.
 
-    The engine runs ``check_project`` once per pass, after every file's
-    local pass, handing it the
-    :class:`~repro.analyze.semantic.ProjectModel` built from all
-    scanned files.  ``check`` is a no-op — per-file scoping happens
-    inside ``check_project`` via the model's module paths.
+    OBS001 (glossary sync) needs every file's metric emissions and
+    SUP001 (stale suppressions) needs every file's finished noqa
+    bookkeeping, so the engine drives both after the per-file rules
+    have run.  ``check`` is a no-op; the registered class carries the
+    id/rationale/severity for the catalog, SARIF metadata, and
+    ``--rule`` selection.
     """
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         return iter(())
 
-    def check_project(self, project) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def project_finding(
-        self,
-        path: str,
-        line: int,
-        message: str,
-        col: int = 1,
-        snippet: str = "",
-        end_line: int = 0,
-        end_col: int = 0,
+    def pass_finding(
+        self, path: str, line: int, message: str, col: int = 1
     ) -> Finding:
         return Finding(
             rule_id=self.id,
             path=path,
             line=line,
             col=col,
-            end_line=end_line,
-            end_col=end_col,
             message=message,
             severity=self.severity,
-            snippet=snippet,
         )
 
 

@@ -19,15 +19,15 @@ run.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from repro.analyze.context import ALL_RULES, NoqaMap
 from repro.analyze.findings import Finding, Severity
-from repro.analyze.rules.base import ProjectRule, register_rule
+from repro.analyze.rules.base import PassRule, register_rule
 
 
 @register_rule
-class UnusedSuppression(ProjectRule):
+class UnusedSuppression(PassRule):
     id = "SUP001"
     name = "noqa suppression suppressed nothing"
     rationale = (
@@ -42,9 +42,6 @@ class UnusedSuppression(ProjectRule):
         "cannot cry wolf."
     )
     severity = Severity.WARNING
-
-    def check_project(self, project) -> Iterator[Finding]:
-        return iter(())  # engine-driven: see stale_suppressions()
 
 
 def _checkable(token: str, selected_ids: Sequence[str], full_set: bool) -> bool:
@@ -100,7 +97,7 @@ def stale_suppressions(
             "bare noqa" if t == ALL_RULES else t for t in unused
         )
         out.append(
-            rule.project_finding(
+            rule.pass_finding(
                 path=path,
                 line=marker.line,
                 col=marker.col,

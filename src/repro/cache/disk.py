@@ -4,7 +4,7 @@ Blobs live as ``<directory>/<key><suffix>`` written through
 :func:`repro.cache.keys.atomic_write`; when ``max_bytes`` is set, a
 :class:`repro.cache.index.CacheIndex` tracks access times and sizes
 for least-recently-used eviction.  Uncapped tiers (characterization
-bundles, the semantic-lint cache) carry no index at all — their
+bundles) carry no index at all — their
 directory layout is exactly the set of blob files.
 
 Eviction (:meth:`evict`) runs under the index file lock and starts by

@@ -89,7 +89,7 @@ def atomic_write(path: str, data: bytes) -> None:
 
     Shared by every disk tier that hashes through :func:`cache_key`
     (result cache, characterization cache, :mod:`repro.store`, the
-    semantic-lint cache, the lint baseline)."""
+    lint baseline)."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:

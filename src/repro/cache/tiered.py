@@ -1,7 +1,7 @@
 """The tiered composition: in-process LRU over the disk tier.
 
 :class:`TieredCache` is what the ported layers (result cache,
-characterization cache, semantic-lint cache) build on.  The memory
+characterization cache) build on.  The memory
 tier holds **encoded blobs**, not decoded objects — every ``get``
 hands back bytes the caller decodes, so a memory hit is byte-identical
 to a disk hit by construction and no mutable object is ever aliased

@@ -267,7 +267,8 @@ class ArtifactRegistry:
     def _attach_version(self, artifact: Artifact, persist: bool) -> Artifact:
         """Publish an injected/fitted model and stamp its version id."""
         try:
-            record = self.store.publish(  # repro: noqa[FLOW002] — timestamp is publish metadata, outside the content id
+            # The timestamp is publish metadata, outside the content id.
+            record = self.store.publish(
                 artifact.key,
                 artifact.capability.to_dict(),
                 # Serve-edge clock read; the store itself never looks.

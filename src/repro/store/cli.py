@@ -240,7 +240,8 @@ def _cmd_publish(store: ArtifactStore, args) -> int:
         if args.timestamp is not None
         else time.time()  # repro: noqa[DET001] — publish time, CLI edge
     )
-    record = store.publish(  # repro: noqa[FLOW002] — timestamp is metadata, not keyed
+    # The timestamp is metadata, not keyed.
+    record = store.publish(
         slot,
         payload,
         timestamp=timestamp,

@@ -14,6 +14,7 @@ from repro.analyze import (
     analyze_source,
     to_sarif,
 )
+from repro.analyze.cli import main_lint
 from repro.analyze.engine import AnalysisReport
 from repro.errors import AnalysisError
 
@@ -148,6 +149,19 @@ class TestAnalyzePaths:
         with pytest.raises(AnalysisError, match="cannot parse"):
             analyze_paths([str(bad)])
 
+    def test_pep263_source_is_decoded_by_its_cookie(self, tmp_path):
+        mod = tmp_path / "latin.py"
+        mod.write_bytes(b"# -*- coding: latin-1 -*-\nx = \"\xe9\"\n")
+        report = analyze_paths([str(mod)], root=str(tmp_path))
+        assert report.files_scanned == 1 and report.ok
+
+    def test_undecodable_source_raises(self, tmp_path):
+        mod = tmp_path / "binary.py"
+        mod.write_bytes(b"x = 1\ny = \"\xff\xfe\"\n")
+        with pytest.raises(AnalysisError, match="cannot decode"):
+            analyze_paths([str(mod)], root=str(tmp_path))
+        assert main_lint([str(mod), "--quiet"]) == 2
+
     def test_emits_obs_counters(self, tmp_path):
         from repro.obs import metrics_snapshot, reset_metrics
 
@@ -231,6 +245,31 @@ class TestBaseline:
         )
         with pytest.raises(AnalysisError, match="schema_version"):
             Baseline.load(str(future))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {
+                "schema_version": BASELINE_SCHEMA_VERSION,
+                "entries": {"k": "oops"},
+            },
+            {
+                "schema_version": BASELINE_SCHEMA_VERSION,
+                "entries": {"k": {"count": "x"}},
+            },
+        ],
+        ids=["not-an-object", "entry-not-an-object", "count-not-an-int"],
+    )
+    def test_malformed_baseline_is_a_tooling_error(self, doc, tmp_path):
+        bl = tmp_path / "lint-baseline.json"
+        bl.write_text(json.dumps(doc))
+        with pytest.raises(AnalysisError):
+            Baseline.load(str(bl))
+        clean = tmp_path / "clean.py"
+        clean.write_text("X = 1\n")
+        argv = [str(clean), "--baseline", "--baseline-file", str(bl)]
+        assert main_lint(argv + ["--quiet"]) == 2
 
 
 class TestSarif:

@@ -294,25 +294,14 @@ class TestLintDispatch:
 
 
 class TestLintIncrementalFlags:
-    """The fast loop: --cache-dir, --changed, --show-suppressed."""
+    """--show-suppressed, and the incremental-lint flags (--cache-dir,
+    --changed) that were removed with the whole-program stage."""
 
-    DIRTY = "import time\n\n\ndef f():\n    return time.time()\n"
-
-    def tree(self, tmp_path, body=None):
+    def tree(self, tmp_path, body):
         pkg = tmp_path / "src" / "repro" / "sim"
         pkg.mkdir(parents=True)
-        (pkg / "mod.py").write_text(body or self.DIRTY)
+        (pkg / "mod.py").write_text(body)
         return str(pkg / "mod.py")
-
-    def test_cache_dir_reports_warm_hits_in_the_summary(
-        self, tmp_path, capsys
-    ):
-        mod = self.tree(tmp_path, "X = 1\n")
-        cache = str(tmp_path / "cache")
-        assert main(["lint", mod, "--cache-dir", cache]) == 0
-        assert "cache 0/1 warm" in capsys.readouterr().err
-        assert main(["lint", mod, "--cache-dir", cache]) == 0
-        assert "cache 1/1 warm" in capsys.readouterr().err
 
     def test_show_suppressed_lists_each_dropped_finding(
         self, tmp_path, capsys
@@ -325,35 +314,13 @@ class TestLintIncrementalFlags:
         out = capsys.readouterr().out
         assert "DET001 suppressed (noqa at line 2)" in out
 
-    def git_repo(self, tmp_path, monkeypatch):
-        import subprocess
-
-        from repro.analyze import cli as lint_cli
-
-        self.tree(tmp_path, "X = 1\n")
-        env = {"GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-               "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"}
-        for argv in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "s"]):
-            subprocess.run(
-                ["git", *argv], cwd=tmp_path, check=True,
-                capture_output=True, env={**__import__("os").environ, **env},
-            )
-        monkeypatch.setattr(lint_cli, "repo_root", lambda: str(tmp_path))
-        return tmp_path
-
-    def test_changed_on_a_clean_tree_is_a_cheap_noop(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        self.git_repo(tmp_path, monkeypatch)
-        assert main(["lint", "--changed"]) == 0
-        assert "no python files changed vs HEAD" in capsys.readouterr().err
-
-    def test_changed_scans_only_the_edited_file(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        root = self.git_repo(tmp_path, monkeypatch)
-        (root / "src" / "repro" / "sim" / "mod.py").write_text(self.DIRTY)
-        assert main(["lint", "--changed"]) == 1
-        captured = capsys.readouterr()
-        assert "DET001" in captured.out
-        assert "1 file(s)" in captured.err
+    @pytest.mark.parametrize(
+        "argv",
+        [["--changed"], ["--changed", "main"], ["--cache-dir", "lc"]],
+        ids=["changed", "changed-ref", "cache-dir"],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
