@@ -14,13 +14,11 @@ is arithmetic.  This package serves that asymmetry at scale:
 * :mod:`~repro.serve.app` — the asyncio HTTP server: ``/v1/predict``,
   ``/v1/advise``, ``/v1/tune``, ``/healthz``, ``/metrics``;
 * :mod:`~repro.serve.protocol` — stdlib-only HTTP/1.1 framing + client;
-* :mod:`~repro.serve.loadgen` — closed-loop load generator and the
-  batching-on/off benchmark matrix (``BENCH_serve.json``);
+* :mod:`~repro.serve.loadgen` — closed-loop load generator;
 * :mod:`~repro.serve.fleet` / :mod:`~repro.serve.router` — the prefork
   worker fleet (``repro serve --workers N``): a consistent-hash routing
   front end over N serving processes, with health-checked
-  backoff/quarantine restarts and SIGTERM drain
-  (``BENCH_fleet.json``).
+  backoff/quarantine restarts and SIGTERM drain.
 
 Quickstart (in-process; ``repro serve --port 8080`` from a shell)::
 
@@ -54,7 +52,6 @@ from repro.serve.batcher import AdmissionError, BatcherClosed, MicroBatcher
 from repro.serve.fleet import Fleet, FleetConfig, run_fleet
 from repro.serve.loadgen import (
     LoadgenResult,
-    bench_matrix,
     default_body,
     run_loadgen,
     write_bench,
@@ -89,7 +86,6 @@ __all__ = [
     "ServeApp",
     "ServeConfig",
     "WorkerClient",
-    "bench_matrix",
     "config_from_json",
     "default_body",
     "http_request",

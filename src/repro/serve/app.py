@@ -43,8 +43,10 @@ docs/PERFORMANCE.md derives the win and when it saturates.
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import functools
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -101,14 +103,11 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    #: Micro-batch window [s]; 0 disables coalescing (batch size 1).
+    #: Micro-batch window [s], finite and >= 0; 0 flushes on the next
+    #: event-loop tick instead of waiting for company.
     window_s: float = 0.002
     max_batch: int = 64
     queue_limit: int = 256
-    #: Share one evaluation across identical concurrent queries.  Off in
-    #: the unbatched A/B twin so the baseline is a true per-request
-    #: server, not batching-with-benefits.
-    dedup: bool = True
     deadlines: Dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_DEADLINES)
     )
@@ -117,14 +116,6 @@ class ServeConfig:
     seed: int = 1234
     persist_artifacts: bool = True
     artifact_dir: Optional[str] = None
-
-    @classmethod
-    def unbatched(cls, **kw: Any) -> "ServeConfig":
-        """A/B twin: same service, coalescing off."""
-        kw.setdefault("window_s", 0.0)
-        kw.setdefault("max_batch", 1)
-        kw.setdefault("dedup", False)
-        return cls(**kw)
 
 
 class _PlanEntry:
@@ -234,7 +225,6 @@ class ServeApp:
             window_s=self.config.window_s,
             max_batch=self.config.max_batch,
             queue_limit=self.config.queue_limit,
-            dedup=self.config.dedup,
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._started_at = time.monotonic()
@@ -250,9 +240,8 @@ class ServeApp:
         #: Compiled predict plans by content key.  A thread-safe
         #: :class:`repro.cache.LRUCache` shared between the event loop
         #: (assemble-phase hits) and evaluator worker threads
-        #: (compile-time inserts); a repeat query — even with dedup off
-        #: — skips parse, compile, and response-skeleton rendering
-        #: entirely.
+        #: (compile-time inserts); a repeat query skips parse, compile,
+        #: and response-skeleton rendering entirely.
         self._plan_cache: LRUCache = LRUCache(
             "serve.plan", max_entries=_PLAN_CACHE_SIZE
         )
@@ -451,10 +440,7 @@ class ServeApp:
         # queries — the coalescing case that matters — always collide;
         # the body is parsed once per *unique* query, in the evaluator.
         key = content_key(route, request.body)
-        # ``ck`` rides along because the batcher rewrites its own key
-        # under dedup=False; the plan cache must always see the true
-        # content key.
-        item = {"endpoint": route, "raw": request.body, "ck": key}
+        item = {"endpoint": route, "raw": request.body}
         deadline = self.config.deadlines.get(
             route, DEFAULT_DEADLINES.get(route, 30.0)
         )
@@ -507,9 +493,8 @@ class ServeApp:
         plans: Dict[str, _PlanEntry] = {}
         with span("serve.batch.assemble", category="serve", size=len(batch)):
             for key, item in batch.items():
-                ck = item.get("ck", key)
                 entry = (
-                    self._plan_hit(ck)
+                    self._plan_hit(key)
                     if item["endpoint"] == "/v1/predict"
                     else None
                 )
@@ -525,7 +510,7 @@ class ServeApp:
                         machine = body.get("machine")
                         config = body.get("config")
                     artifacts[key] = await self._artifact_for(
-                        machine, config, ck
+                        machine, config, key
                     )
                 except ProtocolError as e:
                     errors[key] = _error_outcome(e.status, str(e))
@@ -551,9 +536,7 @@ class ServeApp:
                 entry = plans.get(key)
                 if entry is None:
                     try:
-                        entry = self._plan_compile(
-                            item.get("ck", key), bodies[key]
-                        )
+                        entry = self._plan_compile(key, bodies[key])
                     except ModelError as e:
                         out[key] = _error_outcome(400, str(e))
                         continue
@@ -851,9 +834,6 @@ def _tune_barrier_measured(
 def _deadline_spec(spec: str) -> Tuple[str, float]:
     """``--deadline ROUTE=SECONDS`` → ``(route, seconds)``; anything but a
     POST route with finite seconds > 0 is a usage error."""
-    import argparse
-    import math
-
     route, sep, text = spec.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError(
@@ -874,9 +854,33 @@ def _deadline_spec(spec: str) -> Tuple[str, float]:
     return route, seconds
 
 
-def build_serve_parser():
-    import argparse
+def _window_ms(text: str) -> float:
+    """``--window-ms``: a finite number of milliseconds >= 0."""
+    try:
+        ms = float(text)
+    except ValueError:
+        ms = math.nan
+    if not (math.isfinite(ms) and ms >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
+    return ms
 
+
+def _count(text: str) -> int:
+    """A count or size flag: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        )
+    return n
+
+
+def build_serve_parser():
     p = argparse.ArgumentParser(
         prog="repro-knl serve",
         description=(
@@ -890,29 +894,25 @@ def build_serve_parser():
         help="TCP port (0 = ephemeral, printed on startup; default 8080)",
     )
     p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_count, default=1, metavar="N",
         help="worker processes; N > 1 runs a prefork fleet with "
              "consistent-hash routing by query content key "
              "(default 1 = single process)",
     )
     batching = p.add_argument_group("micro-batching")
     batching.add_argument(
-        "--window-ms", type=float, default=2.0, metavar="MS",
+        "--window-ms", type=_window_ms, default=2.0, metavar="MS",
         help="coalescing window (default 2 ms)",
     )
     batching.add_argument(
-        "--batch-cap", type=int, default=64, metavar="N",
+        "--batch-cap", type=_count, default=64, metavar="N",
         help="max requests riding one batch, duplicates included; a "
              "full batch flushes without waiting the window "
              "(default 64)",
     )
-    batching.add_argument(
-        "--no-batching", action="store_true",
-        help="disable coalescing (window 0, batch size 1)",
-    )
     admission = p.add_argument_group("admission control")
     admission.add_argument(
-        "--queue-limit", type=int, default=256, metavar="N",
+        "--queue-limit", type=_count, default=256, metavar="N",
         help="max admitted-but-unresolved requests before shedding "
              "with 429 (default 256)",
     )
@@ -925,7 +925,7 @@ def build_serve_parser():
     )
     artifacts = p.add_argument_group("artifacts")
     artifacts.add_argument(
-        "--iterations", type=int, default=20, metavar="N",
+        "--iterations", type=_count, default=20, metavar="N",
         help="benchmark iterations when fitting a cold artifact "
              "(default 20)",
     )
@@ -948,17 +948,6 @@ def build_serve_parser():
 
 def _config_from_args(args) -> ServeConfig:
     deadlines = {**DEFAULT_DEADLINES, **dict(args.deadline or ())}
-    if args.no_batching:
-        return ServeConfig.unbatched(
-            host=args.host,
-            port=args.port,
-            queue_limit=args.queue_limit,
-            deadlines=deadlines,
-            iterations=args.iterations,
-            seed=args.seed,
-            persist_artifacts=not args.no_persist,
-            artifact_dir=args.artifact_dir,
-        )
     return ServeConfig(
         host=args.host,
         port=args.port,

@@ -33,6 +33,7 @@ waiter of that batch (the app maps it to a 500).
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from typing import Any, Awaitable, Callable, Dict, Optional, Set
 
@@ -67,10 +68,9 @@ class MicroBatcher:
         window_s: float = 0.002,
         max_batch: int = 64,
         queue_limit: int = 256,
-        dedup: bool = True,
     ) -> None:
-        if window_s < 0:
-            raise ConfigurationError("window_s must be >= 0")
+        if not (math.isfinite(window_s) and window_s >= 0):
+            raise ConfigurationError("window_s must be finite and >= 0")
         if max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
         if queue_limit < 1:
@@ -79,11 +79,6 @@ class MicroBatcher:
         self.window_s = window_s
         self.max_batch = max_batch
         self.queue_limit = queue_limit
-        #: dedup=False is the A/B baseline: every request evaluates by
-        #: itself (no coalescing, no single-flight) — what a naive
-        #: per-request server would do.
-        self.dedup = dedup
-        self._seq = 0
 
         #: Open (collecting) batch: key -> payload / shared future.
         self._open: Dict[str, Any] = {}
@@ -130,12 +125,7 @@ class MicroBatcher:
         counter("serve.batch.requests").inc()
         enqueued = time.perf_counter()
         try:
-            if not self.dedup:
-                # Unique synthetic key: this request joins a batch alone
-                # and never shares an evaluation.
-                self._seq += 1
-                key = f"{key}#{self._seq}"
-            fut = self._open_futures.get(key) if self.dedup else None
+            fut = self._open_futures.get(key)
             if fut is not None:
                 # Dedup within the collecting window: ride the open
                 # batch (and count toward its size cap).

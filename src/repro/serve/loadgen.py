@@ -5,16 +5,9 @@ persistent connection (closed-loop: a worker issues its next request
 only after the previous answer lands), so offered load tracks service
 capacity instead of overrunning it.  Per-request latency and status
 codes are recorded; :func:`summarize` reduces them to
-p50/p95/p99/throughput.
-
-:func:`bench_matrix` is the benchmark behind ``BENCH_serve.json``: it
-boots two self-hosted servers sharing one pre-fitted artifact registry
-— micro-batching on vs off — and drives the same burst matrix
-(1/8/64-way concurrency) at both, demonstrating what coalescing +
-dedup buy at high concurrency.  :func:`bench_fleet_matrix`
-(``BENCH_fleet.json``) adds the prefork fleet: the same bursts against
-``--workers N`` consistent-hash-routed processes vs the single-process
-servers, under both identical-query and distinct-query workloads.
+p50/p95/p99/throughput.  A request that gets no answer at all — the
+connection is refused, reset or times out — counts as ``no_answer``
+and the run goes on.
 """
 
 from __future__ import annotations
@@ -70,6 +63,11 @@ DEFAULT_ADVISE_BODY = {
 DEFAULT_TUNE_BODY = {"target": "barrier", "n": 256}
 
 
+#: What a request raises instead of answering: a refused, reset or
+#: half-closed connection, or a reply that misses the deadline.
+_TRANSPORT_ERRORS = (OSError, EOFError, asyncio.TimeoutError)
+
+
 def default_body(endpoint: str) -> Dict[str, Any]:
     if endpoint == "/v1/predict":
         return DEFAULT_PREDICT_BODY
@@ -90,6 +88,8 @@ class LoadgenResult:
     duration_s: float
     latencies_ms: List[float] = field(default_factory=list)
     status_counts: Dict[int, int] = field(default_factory=dict)
+    #: Requests that got no HTTP answer: refused, reset or timed out.
+    no_answer: int = 0
     #: Per-label latency samples when the workload is labeled (e.g. a
     #: ``--machines A,B`` mix labels each request with its preset), so a
     #: per-preset regression is visible instead of drowning in the
@@ -119,12 +119,14 @@ class LoadgenResult:
             "ok": self.ok,
             "shed": self.shed,
             "server_errors": self.server_errors,
+            "no_answer": self.no_answer,
             "status_counts": {
                 str(k): v for k, v in sorted(self.status_counts.items())
             },
             "duration_s": round(self.duration_s, 4),
+            # Answered requests only: a refused connect is not service.
             "throughput_rps": (
-                round(self.requests / self.duration_s, 1)
+                round((self.requests - self.no_answer) / self.duration_s, 1)
                 if self.duration_s > 0
                 else math.inf
             ),
@@ -167,9 +169,9 @@ async def run_loadgen(
     """Drive ``requests`` total requests with ``concurrency`` workers.
 
     ``bodies`` (mutually exclusive with ``body``) cycles request *i*
-    through ``bodies[i % len(bodies)]`` — a distinct-query workload, so
-    benchmarks can separate "dedup pays" from "batching pays".  Bodies
-    are pre-encoded once; the hot loop sends raw bytes.
+    through ``bodies[i % len(bodies)]`` — a distinct-query workload
+    that dedup cannot collapse.  Bodies are pre-encoded once; the hot
+    loop sends raw bytes.
 
     ``body_labels`` (same length as ``bodies``) tags each request with
     its body's label — a ``--machines A,B`` mix labels by preset — and
@@ -207,12 +209,19 @@ async def run_loadgen(
                         return
                     index = remaining.pop()
                 t0 = time.perf_counter()
-                status, _headers, _body = await conn.request(
-                    "POST",
-                    endpoint,
-                    encoded[index % len(encoded)],
-                    timeout=timeout,
-                )
+                try:
+                    status, _headers, _body = await conn.request(
+                        "POST",
+                        endpoint,
+                        encoded[index % len(encoded)],
+                        timeout=timeout,
+                    )
+                except _TRANSPORT_ERRORS:
+                    # Drop the connection: a late reply to this request
+                    # must not be read as the next request's answer.
+                    await conn.close()
+                    result.no_answer += 1
+                    continue
                 elapsed_ms = (time.perf_counter() - t0) * 1e3
                 async with lock:
                     result.latencies_ms.append(elapsed_ms)
@@ -235,198 +244,6 @@ async def run_loadgen(
     await asyncio.gather(*(worker() for _ in range(min(concurrency, requests))))
     result.duration_s = time.perf_counter() - t0
     return result
-
-
-# -- the A/B benchmark behind BENCH_serve.json ------------------------------
-
-
-async def bench_matrix(
-    concurrencies: Sequence[int] = (1, 8, 64),
-    requests_per_level: int = 192,
-    endpoint: str = "/v1/predict",
-    iterations: int = 10,
-    seed: int = 1234,
-) -> Dict[str, Any]:
-    """Batching-on vs batching-off latency/throughput matrix.
-
-    Both servers share one pre-fitted artifact registry, so the
-    comparison isolates the dispatcher: identical model, identical
-    protocol, only the coalescing differs.
-    """
-    from repro.serve.app import ServeApp, ServeConfig
-    from repro.serve.artifacts import ArtifactRegistry
-
-    registry = ArtifactRegistry(
-        iterations=iterations, seed=seed, persist=False
-    )
-    doc: Dict[str, Any] = {
-        "benchmark": "repro.serve micro-batching A/B",
-        "endpoint": endpoint,
-        "requests_per_level": requests_per_level,
-        "artifact_fit_iterations": iterations,
-        "levels": [],
-    }
-    apps = {
-        "batched": ServeApp(ServeConfig(), registry=registry),
-        "unbatched": ServeApp(ServeConfig.unbatched(), registry=registry),
-    }
-    try:
-        for app in apps.values():
-            await app.warm()
-            await app.start()
-        for concurrency in concurrencies:
-            level: Dict[str, Any] = {"concurrency": concurrency}
-            for mode, app in apps.items():
-                run = await run_loadgen(
-                    app.config.host,
-                    app.port,
-                    endpoint=endpoint,
-                    concurrency=concurrency,
-                    requests=requests_per_level,
-                )
-                level[mode] = run.summarize()
-            doc["levels"].append(level)
-    finally:
-        for app in apps.values():
-            await app.stop()
-    return doc
-
-
-# -- the fleet A/B benchmark behind BENCH_fleet.json -------------------------
-
-#: The fleet benchmark's burst body: the §VII grid *densified* — the
-#: full contention curve (n = 1..256, one point per thread count) plus
-#: the multi-line transfer curve at cache-line granularity (64 B steps
-#: up to 32 KiB, both fitted locations).  The fleet exists for the
-#: popular-expensive-query regime — evaluation must cost enough that
-#: coalescing it beats a proxy hop — and this is that query: ~1300
-#: points, several ms to evaluate per request unbatched.  The default
-#: grid (~20 points, sub-ms) stays the single-server bench body; a
-#: fleet "win" measured on it would be noise.
-DENSE_PREDICT_BODY = {
-    "queries": [
-        *DEFAULT_PREDICT_BODY["queries"][:-4],  # drop the sparse curve
-        *[{"metric": "contention", "n": n} for n in range(1, 257)],
-        *[
-            {"metric": "multiline", "location": loc, "bytes": 64 * i}
-            for loc in ("tile", "remote")
-            for i in range(1, 513)
-        ],
-    ]
-}
-
-
-def _distinct_bodies(n: int) -> List[Dict[str, Any]]:
-    """``n`` structurally-identical but byte-distinct predict bodies.
-
-    Each variant appends one extra latency query, so every body hashes
-    to a different content key (no dedup, keys spread over the ring)
-    while the evaluation cost stays comparable to the identical
-    workload's :data:`DENSE_PREDICT_BODY`.
-    """
-    return [
-        {
-            "queries": DENSE_PREDICT_BODY["queries"]
-            + [{"metric": "contention", "n": 256 + i + 1}]
-        }
-        for i in range(n)
-    ]
-
-
-async def bench_fleet_matrix(
-    workers: int = 2,
-    concurrencies: Sequence[int] = (8, 64),
-    requests_per_level: int = 192,
-    endpoint: str = "/v1/predict",
-    iterations: int = 10,
-    seed: int = 1234,
-) -> Dict[str, Any]:
-    """Fleet vs single-process serving under two workloads.
-
-    Three servers answer the same burst matrix from one pre-fitted
-    model: the prefork **fleet** (``workers`` batched processes behind
-    the consistent-hash front end), a **single_batched** process (PR 3's
-    server), and a **single_unbatched** naive per-request process — the
-    single-worker baseline of the acceptance criterion.  Two workloads
-    per concurrency level: ``identical`` (every request is the same
-    query — affinity routing keeps fleet-wide dedup intact) and
-    ``distinct`` (32 byte-distinct queries — keys spread across the
-    ring, isolating raw sharding from dedup).  Both use the dense
-    :data:`DENSE_PREDICT_BODY` grid, the expensive-popular-query regime
-    the fleet is built for.
-    """
-    from repro.serve.app import ServeApp, ServeConfig
-    from repro.serve.artifacts import ArtifactRegistry, config_from_json
-    from repro.serve.fleet import Fleet, FleetConfig
-
-    registry = ArtifactRegistry(
-        iterations=iterations, seed=seed, persist=False
-    )
-    artifact = await registry.get(config_from_json(None))
-    warm_model = artifact.capability.to_dict()
-
-    worker_config = ServeConfig(
-        iterations=iterations, seed=seed, persist_artifacts=False
-    )
-    fleet = Fleet(
-        FleetConfig(workers=workers, worker=worker_config),
-        warm_model=warm_model,
-    )
-    singles = {
-        "single_batched": ServeApp(
-            ServeConfig(iterations=iterations, seed=seed),
-            registry=registry,
-        ),
-        "single_unbatched": ServeApp(
-            ServeConfig.unbatched(iterations=iterations, seed=seed),
-            registry=registry,
-        ),
-    }
-    doc: Dict[str, Any] = {
-        "benchmark": "repro.serve fleet A/B",
-        "endpoint": endpoint,
-        "workers": workers,
-        "requests_per_level": requests_per_level,
-        "artifact_fit_iterations": iterations,
-        "levels": [],
-    }
-    workloads = {
-        "identical": {"body": DENSE_PREDICT_BODY, "bodies": None},
-        "distinct": {"body": None, "bodies": _distinct_bodies(32)},
-    }
-    try:
-        fleet_host, fleet_port = await fleet.start()
-        for app in singles.values():
-            await app.start()
-        targets = {
-            "fleet": (fleet_host, fleet_port),
-            **{
-                mode: (app.config.host, app.port)
-                for mode, app in singles.items()
-            },
-        }
-        for concurrency in concurrencies:
-            for workload, kw in workloads.items():
-                level: Dict[str, Any] = {
-                    "concurrency": concurrency,
-                    "workload": workload,
-                }
-                for mode, (host, port) in targets.items():
-                    run = await run_loadgen(
-                        host,
-                        port,
-                        endpoint=endpoint,
-                        concurrency=concurrency,
-                        requests=requests_per_level,
-                        **kw,
-                    )
-                    level[mode] = run.summarize()
-                doc["levels"].append(level)
-    finally:
-        await fleet.stop()
-        for app in singles.values():
-            await app.stop()
-    return doc
 
 
 def write_bench(path: str, doc: Dict[str, Any]) -> None:
@@ -482,23 +299,8 @@ def build_loadgen_parser():
              "KNL; mutually exclusive with --machine)",
     )
     p.add_argument(
-        "--bench", action="store_true",
-        help="run the full batching-on/off A/B matrix at 1/8/64-way "
-             "concurrency (implies --self-host) — the BENCH_serve.json "
-             "generator",
-    )
-    p.add_argument(
-        "--bench-fleet", action="store_true",
-        help="run the fleet-vs-single-process A/B matrix (implies "
-             "--self-host) — the BENCH_fleet.json generator",
-    )
-    p.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="fleet size for --bench-fleet (default 2)",
-    )
-    p.add_argument(
         "--iterations", type=int, default=10, metavar="N",
-        help="artifact fit iterations for self-hosted servers "
+        help="artifact fit iterations for a self-hosted server "
              "(default 10)",
     )
     p.add_argument("--seed", type=int, default=1234)
@@ -514,12 +316,7 @@ def main_loadgen(argv=None) -> int:
     """Entry point of ``repro loadgen``."""
     parser = build_loadgen_parser()
     args = parser.parse_args(argv)
-    if (
-        not args.bench
-        and not args.bench_fleet
-        and not args.self_host
-        and args.port is None
-    ):
+    if not args.self_host and args.port is None:
         parser.error("need --port (a running server) or --self-host")
 
     body = None
@@ -529,12 +326,6 @@ def main_loadgen(argv=None) -> int:
 
     if args.machine and args.machines:
         parser.error("--machine and --machines are mutually exclusive")
-    benching = args.bench or args.bench_fleet
-    if (args.machine or args.machines) and benching:
-        parser.error(
-            "--machine/--machines drive a live or self-hosted server, "
-            "not the --bench matrices"
-        )
     bodies = None
     body_labels: Optional[List[str]] = None
     machine_names: List[str] = []
@@ -554,21 +345,6 @@ def main_loadgen(argv=None) -> int:
         body = None
 
     async def run() -> Dict[str, Any]:
-        if args.bench_fleet:
-            return await bench_fleet_matrix(
-                workers=args.workers,
-                endpoint=args.endpoint,
-                requests_per_level=args.requests,
-                iterations=args.iterations,
-                seed=args.seed,
-            )
-        if args.bench:
-            return await bench_matrix(
-                endpoint=args.endpoint,
-                requests_per_level=args.requests,
-                iterations=args.iterations,
-                seed=args.seed,
-            )
         if args.self_host:
             from repro.serve.app import ServeApp, ServeConfig
 
@@ -615,19 +391,4 @@ def main_loadgen(argv=None) -> int:
         print(text)
     if args.out:
         write_bench(args.out, doc)
-
-    if args.bench_fleet:
-        failed = any(
-            level[mode]["server_errors"]
-            for level in doc["levels"]
-            for mode in ("fleet", "single_batched", "single_unbatched")
-        )
-    elif args.bench:
-        failed = any(
-            level[mode]["server_errors"]
-            for level in doc["levels"]
-            for mode in ("batched", "unbatched")
-        )
-    else:
-        failed = doc["server_errors"] > 0
-    return 1 if failed else 0
+    return 1 if doc["no_answer"] + doc["server_errors"] > 0 else 0

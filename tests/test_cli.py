@@ -197,7 +197,7 @@ class TestServeDispatch:
             main(["loadgen", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--self-host" in out and "--bench" in out
+        assert "--self-host" in out and "--concurrency" in out
 
     def test_serve_rejects_unknown_flags_with_its_own_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,9 +4,9 @@ The contract under test: for every query list, the compiled-plan
 evaluation (:mod:`repro.model.vector`) is **byte-identical** to the
 scalar reference loop — same values bit for bit (``repr`` equality),
 same defaults, same error message raised at the same first offending
-query.  The dense sweep below is the §VII grid the serving benchmarks
-drive, so the golden test pins exactly the workload the speedup is
-claimed on.
+query.  The dense sweep below is the ~1300-point §VII grid the compiled
+plan's speedup was claimed on, so the golden test pins exactly that
+workload.
 """
 
 import json
@@ -24,7 +24,24 @@ from repro.model.vector import (
     multiline_curve,
     predict_one,
 )
-from repro.serve.loadgen import DENSE_PREDICT_BODY
+from repro.serve.loadgen import DEFAULT_PREDICT_BODY
+
+#: The §VII grid *densified*: the full contention curve (n = 1..256, one
+#: point per thread count) plus the multi-line transfer curve at
+#: cache-line granularity (64 B steps up to 32 KiB, both fitted
+#: locations) — ~1300 points, the popular-expensive query that the
+#: compiled plan exists for.
+DENSE_PREDICT_BODY = {
+    "queries": [
+        *DEFAULT_PREDICT_BODY["queries"][:-4],  # drop the sparse curve
+        *[{"metric": "contention", "n": n} for n in range(1, 257)],
+        *[
+            {"metric": "multiline", "location": loc, "bytes": 64 * i}
+            for loc in ("tile", "remote")
+            for i in range(1, 513)
+        ],
+    ]
+}
 
 
 def scalar_reference(cap, queries):

@@ -360,14 +360,8 @@ class TestServeCli:
         config = _config_from_args(args)
         assert config.port == 8080
         assert config.window_s == pytest.approx(0.002)
-        assert config.max_batch == 64 and config.dedup
+        assert config.max_batch == 64
         assert config.deadlines == DEFAULT_DEADLINES
-
-    def test_no_batching_flag(self):
-        args = build_serve_parser().parse_args(["--no-batching"])
-        config = _config_from_args(args)
-        assert config.window_s == 0 and config.max_batch == 1
-        assert not config.dedup
 
     def test_deadline_overrides(self):
         args = build_serve_parser().parse_args(
@@ -397,10 +391,39 @@ class TestServeCli:
         assert exc.value.code == 2
         assert "--deadline" in capsys.readouterr().err
 
-    def test_unbatched_config_constructor(self):
-        config = ServeConfig.unbatched(queue_limit=7)
-        assert config.window_s == 0 and config.max_batch == 1
-        assert not config.dedup and config.queue_limit == 7
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("serve", ["--window-ms", "-1"]),
+            ("serve", ["--window-ms", "nan"]),
+            ("serve", ["--window-ms", "inf"]),
+            ("serve", ["--batch-cap", "0"]),
+            ("serve", ["--queue-limit", "0"]),
+            ("serve", ["--iterations", "0"]),
+            ("serve", ["--workers", "0"]),
+            ("serve", ["--workers", "-3"]),
+            # Removed flags stay removed.
+            ("serve", ["--no-batching"]),
+            ("loadgen", ["--bench"]),
+            ("loadgen", ["--bench-fleet"]),
+            ("loadgen", ["--self-host", "--workers", "2"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "=".join(v),
+    )
+    def test_bad_number_or_removed_flag_is_a_usage_error(
+        self, command, argv, capsys
+    ):
+        """Rejected while parsing (exit 2), before any server boots."""
+        from repro.serve.loadgen import build_loadgen_parser
+
+        parser = {
+            "serve": build_serve_parser,
+            "loadgen": build_loadgen_parser,
+        }[command]()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
 
 
 class TestShutdown:

