@@ -233,3 +233,59 @@ class TestCapabilityModelSerialization:
             CapabilityModel.from_dict({"config_label": "x"})
         with pytest.raises(ModelError):
             CapabilityModel.from_dict("not a mapping")
+
+
+#: Slot digests the served registry resolves for each wire form at
+#: ``iterations=20, seed=1234`` with the package version pinned to
+#: ``"vGOLDEN"``: ``(test id, ServeApp.warm kwargs, slot)``.  Every
+#: published store version lives under one of these slots, so a change
+#: here orphans existing stores.
+SLOT_GOLDEN = [
+    ("raw-default", {},
+     "71a96fe5a8ee86791a0e6a384e93704ebd035769c884ba04bc151011da3dfd14"),
+    ("raw-quadrant-cache",
+     {"config_json": {"cluster_mode": "quadrant", "memory_mode": "cache"}},
+     "cfd7b1fe6c7554790d792ba3dd8a4dd73c5153d432a2c28704452b1236ed5ca8"),
+    ("hybrid-hbm", {"machine": "hybrid-hbm"},
+     "5ce005d2e37f15448114151dfcd31621f996cd842223b25d0fe2c59003f0a75d"),
+    ("knl-7210", {"machine": "knl-7210"},
+     "ca80f79c2960d27b4a4d6239c7d0c69c1ff20b9fce8ead204a8e25be9bbf3d5e"),
+    ("knl-7250", {"machine": "knl-7250"},
+     "c1e3194d05cadfb59164cafcf320ecc84831d15ae5c130771a1f556e8d0168a4"),
+    ("numa-2s", {"machine": "numa-2s"},
+     "10dd1f32d4afc67f183b058937f86ea48a7618505a47e3172e17d6d30772b2da"),
+]
+
+
+class TestSlotKeyGolden:
+    @pytest.mark.parametrize(
+        "warm_kwargs,slot",
+        [pytest.param(kw, slot, id=name) for name, kw, slot in SLOT_GOLDEN],
+    )
+    def test_slot_keys_are_stable(
+        self, warm_kwargs, slot, capability, tmp_path, monkeypatch
+    ):
+        """Both wire forms resolve, through ``ServeApp.warm``, to the
+        slot every existing store already holds.  The fit is stubbed:
+        the key is fixed before any benchmark would run."""
+        import repro.bench
+        import repro.cache.keys
+        import repro.model
+        from repro.serve.app import ServeApp, ServeConfig
+
+        monkeypatch.setattr(repro.cache.keys, "__version__", "vGOLDEN")
+        monkeypatch.setattr(repro.bench, "characterize", lambda *a, **k: None)
+        monkeypatch.setattr(
+            repro.model, "derive_capability_model", lambda char: capability
+        )
+        app = ServeApp(
+            ServeConfig(
+                iterations=20,
+                seed=1234,
+                persist_artifacts=False,
+                artifact_dir=str(tmp_path),
+            )
+        )
+        artifact = run(app.warm(**warm_kwargs))
+        assert artifact.source == "fit"
+        assert artifact.key == slot
