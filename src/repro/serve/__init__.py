@@ -46,6 +46,7 @@ from repro.serve.artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     Artifact,
     ArtifactRegistry,
+    MachineRef,
     config_from_json,
 )
 from repro.serve.batcher import AdmissionError, BatcherClosed, MicroBatcher
@@ -79,6 +80,7 @@ __all__ = [
     "FleetConfig",
     "HashRing",
     "LoadgenResult",
+    "MachineRef",
     "MicroBatcher",
     "ProtocolError",
     "Request",

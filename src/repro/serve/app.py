@@ -65,31 +65,33 @@ from repro.model.vector import (
 )
 from repro.cache import LRUCache
 from repro.obs import counter, gauge, histogram, metrics_snapshot, span
-from repro.serve.artifacts import Artifact, ArtifactRegistry, config_from_json
+from repro.serve.artifacts import (
+    Artifact,
+    ArtifactRegistry,
+    MachineRef,
+    config_from_json,
+    machines_response,
+)
 from repro.serve.batcher import AdmissionError, BatcherClosed, MicroBatcher
 from repro.serve.protocol import (
     ProtocolError,
     Request,
     Response,
     content_key,
+    route,
     serve_connection,
 )
 from repro.units import GIB
 from repro._version import __version__
 
-#: Endpoint deadlines [s]: predict is interactive, measured tuning may
-#: legitimately run benchmark episodes.
+#: Endpoint deadlines [s] of the model-query routes, the only ones that
+#: queue: predict is interactive, measured tuning may legitimately run
+#: benchmark episodes.
 DEFAULT_DEADLINES = {
     "/v1/predict": 10.0,
     "/v1/advise": 15.0,
     "/v1/tune": 60.0,
 }
-
-_POST_ROUTES = ("/v1/predict", "/v1/advise", "/v1/tune")
-_GET_ROUTES = ("/healthz", "/metrics", "/v1/machines")
-#: Admin routes bypass the batcher entirely: a reload must not queue
-#: behind (or be deduped with) model traffic.
-_ADMIN_ROUTES = ("/v1/admin/reload",)
 
 #: Compiled predict plans kept warm, LRU by request content key.  A plan
 #: is a few hundred bytes of index arrays; 512 covers any realistic
@@ -122,22 +124,21 @@ class _PlanEntry:
     """One plan-cache slot: the compiled plan plus everything else the
     request's bytes determine.
 
-    ``machine``/``config`` are the body's routing fields, captured at
-    compile time so a cache hit skips ``json.loads`` of the (possibly
-    large) body entirely.  ``segments`` is the response's static JSON
-    skeleton — every byte of ``json.dumps(payload, sort_keys=True)``
-    except the numeric values — pre-rendered once per distinct body, so
-    a hit also skips building and sorting thousands of result dicts.
+    ``ref`` is the machine the body names, resolved at compile time so a
+    cache hit skips ``json.loads`` of the (possibly large) body entirely.
+    ``segments`` is the response's static JSON skeleton — every byte of
+    ``json.dumps(payload, sort_keys=True)`` except the numeric values —
+    pre-rendered once per distinct body, so a hit also skips building
+    and sorting thousands of result dicts.
     """
 
-    __slots__ = ("plan", "machine", "config", "segments", "rendered")
+    __slots__ = ("plan", "ref", "segments", "rendered")
 
-    def __init__(self, plan: PredictPlan, machine: Any, config: Any) -> None:
+    def __init__(self, plan: PredictPlan, ref: MachineRef) -> None:
         import json as _json
 
         self.plan = plan
-        self.machine = machine
-        self.config = config
+        self.ref = ref
         # Memoized (artifact_identity, response_bytes): a capability
         # model is a pure function of its artifact *version*, so the
         # same body against the same version always renders the same
@@ -234,9 +235,22 @@ class ServeApp:
         #: idle keep-alive peer would hold shutdown open forever).
         self._conn_writers: set = set()
         self._active_requests = 0
-        #: Resolved catalog presets by name — one file read + validation
-        #: per preset per process, not per request.
-        self._machine_specs: Dict[str, Any] = {}
+        #: Machine refs by preset name (``None``: the default raw
+        #: config) — one catalog read + validation per preset per
+        #: process, not per request.
+        self._refs: Dict[Optional[str], MachineRef] = {}
+        #: One handler per route of :data:`~repro.serve.protocol.ROUTES`.
+        #: Admin reload bypasses the batcher entirely: it must not queue
+        #: behind (or be deduped with) model traffic.
+        self._routes = {
+            "/healthz": self._healthz,
+            "/metrics": self._metrics,
+            "/v1/machines": self._machines,
+            "/v1/predict": self._query,
+            "/v1/advise": self._query,
+            "/v1/tune": self._query,
+            "/v1/admin/reload": self._admin_reload,
+        }
         #: Compiled predict plans by content key.  A thread-safe
         #: :class:`repro.cache.LRUCache` shared between the event loop
         #: (assemble-phase hits) and evaluator worker threads
@@ -306,69 +320,51 @@ class ServeApp:
         config_json: Optional[Mapping] = None,
         machine: Optional[str] = None,
     ) -> Artifact:
-        """Pre-fit the default (or given) configuration before binding.
+        """Pre-fit the default (or given) machine before binding.
 
         ``machine`` names a catalog preset instead of a raw config —
         the two are mutually exclusive, as on the wire.
         """
+        return await self.registry.get(self.ref_for(machine, config_json))
+
+    def ref_for(self, machine: Any, config: Any) -> MachineRef:
+        """The :class:`MachineRef` a body's ``machine``/``config`` fields
+        name; :class:`ProtocolError` (400) for a bad pair or value."""
         if machine is not None:
-            if config_json is not None:
-                raise ReproError(
-                    "'machine' and 'config' are mutually exclusive"
+            if config is not None:
+                raise ProtocolError(
+                    "'machine' and 'config' are mutually exclusive; name a "
+                    "catalog preset or describe a raw config, not both"
                 )
-            return await self.registry.get_machine(
-                self._resolve_machine(machine)
-            )
-        return await self.registry.get(config_from_json(config_json))
+            if not isinstance(machine, str):
+                raise ProtocolError(
+                    f"'machine' must be a preset name string, "
+                    f"got {machine!r}"
+                )
+        elif config is not None:
+            return MachineRef(config_from_json(config))
+        ref = self._refs.get(machine)
+        if ref is None:
+            if machine is None:
+                ref = MachineRef(config_from_json(None))
+            else:
+                from repro.machines import get_machine
 
-    def _resolve_machine(self, name: Any):
-        """Catalog preset by name (memoized per process)."""
-        if not isinstance(name, str):
-            raise ProtocolError(
-                f"'machine' must be a preset name string, got {name!r}"
-            )
-        rm = self._machine_specs.get(name)
-        if rm is None:
-            from repro.machines import get_machine
+                ref = MachineRef.of(get_machine(machine))
+            self._refs[machine] = ref
+        return ref
 
-            rm = get_machine(name)
-            self._machine_specs[name] = rm
-        return rm
-
-    def _machines_response(self) -> Response:
+    async def _machines(self, request: Request) -> Response:
         """``GET /v1/machines``: the catalog, with warm/cold status."""
-        from repro.machines import (
-            DEFAULT_MACHINE,
-            MACHINES_SCHEMA_VERSION,
-            list_machines,
-        )
 
-        try:
-            machines = list_machines()
-        except ReproError as e:
-            # A broken preset in the user directory: surface it, don't
-            # pretend the catalog is empty.
-            return Response.error(500, f"machine catalog is broken: {e}")
-        entries = []
-        for rm in machines:
-            key = self.registry.key_for_machine(rm)
-            entries.append(
-                {
-                    "name": rm.name,
-                    "description": rm.description,
-                    "config_label": rm.to_machine_config().label(),
-                    "default": rm.name == DEFAULT_MACHINE,
-                    "warm": self.registry.is_warm(key),
-                    "version": self.registry.active_version(key),
-                    "cache_key": rm.cache_key,
-                }
-            )
-        return Response.json(
-            {
-                "schema_version": MACHINES_SCHEMA_VERSION,
-                "machines": entries,
+        def status_of(ref: MachineRef) -> Dict[str, Any]:
+            key = self.registry.key_for(ref)
+            return {
+                "warm": self.registry.is_warm(key),
+                "version": self.registry.active_version(key),
             }
-        )
+
+        return machines_response(status_of)
 
     # -- dispatch -----------------------------------------------------------
 
@@ -381,7 +377,7 @@ class ServeApp:
             method=request.method,
             route=request.route,
         ) as sp:
-            response = await self._route(request)
+            response = await route(request, self._routes)
             sp.set(status=response.status)
         histogram("serve.latency_ms", unit="ms").observe(
             (time.perf_counter() - t0) * 1e3
@@ -389,27 +385,10 @@ class ServeApp:
         counter(f"serve.http.{response.status // 100}xx").inc()
         return response
 
-    async def _route(self, request: Request) -> Response:
-        route = request.route
-        if route in _GET_ROUTES:
-            if request.method != "GET":
-                return Response.error(405, f"{route} only supports GET")
-            if route == "/healthz":
-                return self._healthz()
-            if route == "/v1/machines":
-                return self._machines_response()
-            return Response.json({"metrics": metrics_snapshot()})
-        if route in _POST_ROUTES:
-            if request.method != "POST":
-                return Response.error(405, f"{route} only supports POST")
-            return await self._query(route, request)
-        if route in _ADMIN_ROUTES:
-            if request.method != "POST":
-                return Response.error(405, f"{route} only supports POST")
-            return await self._admin_reload()
-        return Response.error(404, f"no route {route!r}")
+    async def _metrics(self, request: Request) -> Response:
+        return Response.json({"metrics": metrics_snapshot()})
 
-    async def _admin_reload(self) -> Response:
+    async def _admin_reload(self, request: Request) -> Response:
         """``POST /v1/admin/reload``: hot-swap to the store's manifest.
 
         Re-reads the version manifest and atomically swaps each slot's
@@ -424,7 +403,7 @@ class ServeApp:
             return Response.error(500, f"reload failed: {e}")
         return Response.json({"status": "ok", "slots": summary})
 
-    def _healthz(self) -> Response:
+    async def _healthz(self, request: Request) -> Response:
         return Response.json(
             {
                 "status": "ok",
@@ -435,7 +414,8 @@ class ServeApp:
             }
         )
 
-    async def _query(self, route: str, request: Request) -> Response:
+    async def _query(self, request: Request) -> Response:
+        route = request.route
         # Dedup key: the raw wire bytes' content key.  Byte-identical
         # queries — the coalescing case that matters — always collide;
         # the body is parsed once per *unique* query, in the evaluator.
@@ -488,6 +468,7 @@ class ServeApp:
         loop keeps answering ``/healthz`` under load.
         """
         artifacts: Dict[str, Artifact] = {}
+        refs: Dict[str, MachineRef] = {}
         bodies: Dict[str, Dict[str, Any]] = {}
         errors: Dict[str, _Outcome] = {}
         plans: Dict[str, _PlanEntry] = {}
@@ -502,16 +483,17 @@ class ServeApp:
                     if entry is not None:
                         # Plan-cache hit: the request's bytes were seen
                         # before, so the compiled plan already carries
-                        # the routing fields — no json.loads at all.
+                        # the machine ref — no json.loads at all.
                         plans[key] = entry
-                        machine, config = entry.machine, entry.config
+                        ref = entry.ref
                     else:
                         body = bodies[key] = _parse_body(item["raw"])
-                        machine = body.get("machine")
-                        config = body.get("config")
-                    artifacts[key] = await self._artifact_for(
-                        machine, config, key
-                    )
+                        ref = refs[key] = self.ref_for(
+                            body.get("machine"), body.get("config")
+                        )
+                    # The content key rides along so the registry can
+                    # route the query over a live canary's VersionRing.
+                    artifacts[key] = await self.registry.get(ref, key)
                 except ProtocolError as e:
                     errors[key] = _error_outcome(e.status, str(e))
                 except ReproError as e:
@@ -536,7 +518,9 @@ class ServeApp:
                 entry = plans.get(key)
                 if entry is None:
                     try:
-                        entry = self._plan_compile(key, bodies[key])
+                        entry = self._plan_compile(
+                            key, bodies[key], refs[key]
+                        )
                     except ModelError as e:
                         out[key] = _error_outcome(400, str(e))
                         continue
@@ -553,25 +537,6 @@ class ServeApp:
 
         return await asyncio.to_thread(evaluate)
 
-    async def _artifact_for(
-        self,
-        machine_name: Any,
-        config: Any,
-        content_key: Optional[str] = None,
-    ) -> Artifact:
-        """Warm (or single-flight fit) the artifact a body routes to.
-
-        The query's content key rides along so the registry can route
-        it over the canary :class:`~repro.serve.router.VersionRing`
-        when the slot has a live canary version.
-        """
-        if machine_name is not None:
-            rm = self._resolve_machine(machine_name)
-            return await self.registry.get_machine(rm, content_key)
-        return await self.registry.get(
-            config_from_json(config), content_key
-        )
-
     # -- compiled predict path ----------------------------------------------
 
     def _plan_hit(self, content_key: str) -> Optional[_PlanEntry]:
@@ -580,7 +545,9 @@ class ServeApp:
             counter("serve.vector.plan_cache.hits").inc()
         return entry
 
-    def _plan_compile(self, content_key: str, body: Mapping) -> _PlanEntry:
+    def _plan_compile(
+        self, content_key: str, body: Mapping, ref: MachineRef
+    ) -> _PlanEntry:
         """Compile a predict body into a cached :class:`_PlanEntry`.
 
         Raises the compiler's :class:`~repro.errors.ModelError` for a
@@ -591,7 +558,7 @@ class ServeApp:
             return entry
         counter("serve.vector.plan_cache.misses").inc()
         plan = compile_queries(body.get("queries"))
-        entry = _PlanEntry(plan, body.get("machine"), body.get("config"))
+        entry = _PlanEntry(plan, ref)
         self._plan_cache.put(content_key, entry)
         return entry
 
@@ -702,11 +669,6 @@ def _parse_body(raw: bytes) -> Dict[str, Any]:
         raise ProtocolError(f"request body is not valid JSON: {e}") from e
     if not isinstance(body, dict):
         raise ProtocolError("request body must be a JSON object")
-    if body.get("machine") is not None and body.get("config") is not None:
-        raise ProtocolError(
-            "'machine' and 'config' are mutually exclusive; name a "
-            "catalog preset or describe a raw config, not both"
-        )
     return body
 
 
@@ -839,9 +801,9 @@ def _deadline_spec(spec: str) -> Tuple[str, float]:
         raise argparse.ArgumentTypeError(
             f"wants ROUTE=SECONDS, got {spec!r}"
         )
-    if route not in _POST_ROUTES:
+    if route not in DEFAULT_DEADLINES:
         raise argparse.ArgumentTypeError(
-            f"unknown route {route!r} (one of {', '.join(_POST_ROUTES)})"
+            f"unknown route {route!r} (one of {', '.join(DEFAULT_DEADLINES)})"
         )
     try:
         seconds = float(text)
@@ -921,7 +883,7 @@ def build_serve_parser():
         type=_deadline_spec,
         help="per-endpoint deadline override, e.g. --deadline "
              "/v1/predict=2.5 (repeatable; ROUTE is one of "
-             f"{', '.join(_POST_ROUTES)}, SECONDS finite and > 0)",
+             f"{', '.join(DEFAULT_DEADLINES)}, SECONDS finite and > 0)",
     )
     artifacts = p.add_argument_group("artifacts")
     artifacts.add_argument(
@@ -962,10 +924,23 @@ def _config_from_args(args) -> ServeConfig:
     )
 
 
-def main_serve(argv=None) -> int:
-    """Entry point of ``repro serve``."""
+async def wait_for_stop() -> None:
+    """Return once SIGTERM or SIGINT arrives.
+
+    SIGTERM — what an init system, container runtime, or the fleet
+    supervisor sends — must run the same drain path as Ctrl+C.
+    """
     import signal
 
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        loop.add_signal_handler(sig, stop.set)
+    await stop.wait()
+
+
+def main_serve(argv=None) -> int:
+    """Entry point of ``repro serve``."""
     args = build_serve_parser().parse_args(argv)
 
     if args.workers > 1:
@@ -1002,14 +977,7 @@ def main_serve(argv=None) -> int:
                 f"queue limit {config.queue_limit})",
                 flush=True,
             )
-        # SIGTERM — what an init system, container runtime, or the
-        # fleet supervisor sends — must run the same drain path as
-        # Ctrl+C.  Before this handler, SIGTERM killed mid-batch.
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, stop.set)
-        await stop.wait()
+        await wait_for_stop()
         if not args.quiet:
             print("[serve] draining...", flush=True)
         await app.stop()

@@ -8,17 +8,20 @@ model is arithmetic on a dozen scalars (microseconds).
 Since the versioned artifact store landed, the registry is a **thin
 serving view over** :class:`repro.store.ArtifactStore`:
 
+* a request names its machine by a raw ``config`` or a catalog
+  ``machine`` preset; the edge resolves either into one
+  :class:`MachineRef`, and everything below takes that ref;
 * a *slot* is the content-addressed artifact key
-  (:meth:`ArtifactRegistry.key_for` — machine config + fit parameters +
-  package version, same :func:`repro.runtime.cache.cache_key` scheme as
-  everything else);
+  (:meth:`ArtifactRegistry.key_for` — the ref's key parts + fit
+  parameters + package version, same :func:`repro.runtime.cache.cache_key`
+  scheme as everything else);
 * the store holds immutable *versions* per slot with a routing manifest
   (``latest`` / ``canary``); the registry keeps the active stable
   artifact of each slot warm in-process plus a memory tier of every
   resolved version (identity ``slot@version``);
 * cold demand single-flights: store load → legacy flat-file adoption →
   full fit (which publishes the result back to the store);
-* :meth:`get`/:meth:`get_machine` take the query's content key and,
+* :meth:`get` takes the query's content key and,
   when the slot has a live canary, route it over the
   :class:`~repro.serve.router.VersionRing` — N% of virtual ring points
   to the canary version.  ``serve.store.requests{version=...}``
@@ -34,8 +37,8 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.cache import AsyncSingleFlight, LRUCache
 from repro.errors import ConfigurationError, ReproError
@@ -43,7 +46,7 @@ from repro.machine.config import ClusterMode, MachineConfig, MemoryMode
 from repro.model.parameters import CapabilityModel
 from repro.obs import counter, span
 from repro.runtime.cache import cache_key, default_cache_dir
-from repro.serve.protocol import ProtocolError
+from repro.serve.protocol import ProtocolError, Response
 from repro.serve.router import VersionRing
 from repro.store import ArtifactStore, StoreError, VersionRecord
 from repro.store.records import LEGACY_ARTIFACT_SCHEMA_VERSION
@@ -82,22 +85,112 @@ def config_from_json(obj: Optional[Mapping[str, Any]]) -> MachineConfig:
 
 
 @dataclass(frozen=True)
+class MachineRef:
+    """The machine a request names, resolved once at the edge.
+
+    A raw ``config`` becomes ``MachineRef(config)``; a catalog preset
+    (:class:`~repro.machines.spec.ResolvedMachine`) becomes
+    :meth:`of`, which also carries the preset's knobs.  The two slot-key
+    forms differ on purpose — a preset whose ``MachineConfig`` matches a
+    raw config still gets its own slot — and both are pinned by golden
+    digests, because every stored version lives under one of them.
+    """
+
+    config: MachineConfig
+    preset: Optional[Any] = None
+
+    @classmethod
+    def of(cls, preset) -> "MachineRef":
+        return cls(preset.to_machine_config(), preset)
+
+    @property
+    def name(self) -> Optional[str]:
+        """Catalog preset name; ``None`` for a raw config."""
+        return self.preset.name if self.preset is not None else None
+
+    def key_parts(self) -> Dict[str, Any]:
+        """The machine's share of the slot key."""
+        if self.preset is None:
+            return {"config": self.config}
+        return {
+            "machine": self.preset.name,
+            "knobs": self.preset.knobs,
+            "config": self.config,
+        }
+
+    def build(self, seed: int):
+        """A booted machine; a preset rebuilds through its spec so its
+        calibration overrides apply."""
+        if self.preset is not None:
+            return self.preset.build(seed=seed)
+        from repro.machine.machine import KNLMachine
+
+        return KNLMachine(self.config, seed=seed)
+
+    def fit(self, iterations: int, seed: int) -> Tuple[CapabilityModel, Any]:
+        """Run the microbenchmark suite on :meth:`build` and derive the
+        model; returns ``(capability, machine)``.  The one fit the
+        server and ``repro store publish`` share."""
+        from repro.bench import characterize
+        from repro.model import derive_capability_model
+
+        machine = self.build(seed)
+        char = characterize(machine, iterations=iterations, seed=seed)
+        return derive_capability_model(char), machine
+
+
+def machines_response(status_of: Callable[[MachineRef], Mapping]) -> Response:
+    """``GET /v1/machines``: every catalog preset's identity fields plus
+    what ``status_of(ref)`` reports about its serving state."""
+    from repro.machines import (
+        DEFAULT_MACHINE,
+        MACHINES_SCHEMA_VERSION,
+        list_machines,
+    )
+
+    try:
+        machines = list_machines()
+    except ReproError as e:
+        # A broken preset in the user directory: surface it, don't
+        # pretend the catalog is empty.
+        return Response.error(500, f"machine catalog is broken: {e}")
+    entries = []
+    for rm in machines:
+        ref = MachineRef.of(rm)
+        entries.append(
+            {
+                "name": rm.name,
+                "description": rm.description,
+                "config_label": ref.config.label(),
+                "default": rm.name == DEFAULT_MACHINE,
+                "cache_key": rm.cache_key,
+                **status_of(ref),
+            }
+        )
+    return Response.json(
+        {"schema_version": MACHINES_SCHEMA_VERSION, "machines": entries}
+    )
+
+
+@dataclass(frozen=True)
 class Artifact:
     """One fitted model, warm in memory."""
 
     key: str
-    config: MachineConfig
+    ref: MachineRef
     capability: CapabilityModel
     #: "fit" (benchmarked now), "store" (loaded from the version store),
     #: "disk" (adopted legacy flat file), or "preload" (injected).
     source: str
     fit_seconds: float = 0.0
-    #: Catalog preset name when fitted for a :mod:`repro.machines`
-    #: preset; ``None`` for raw-config requests.
-    machine: Optional[str] = None
     #: Store version id backing this artifact (``None`` for artifacts
     #: that were injected without ever touching the store).
     version: Optional[str] = None
+
+    @property
+    def machine(self) -> Optional[str]:
+        """Catalog preset name; ``None`` for raw-config requests."""
+        return self.ref.name
 
     @property
     def identity(self) -> str:
@@ -128,6 +221,21 @@ class _SlotView:
             canary_percent=state.canary_percent,
             ring=ring,
         )
+
+
+def _from_record(
+    key: str, ref: MachineRef, record: VersionRecord, source: str
+) -> Artifact:
+    """A store version record as a servable artifact (raises
+    :class:`~repro.errors.ModelError` if its payload builds no model)."""
+    return Artifact(
+        key=key,
+        ref=ref,
+        capability=CapabilityModel.from_dict(record.capability),
+        source=source,
+        fit_seconds=record.fit_seconds,
+        version=record.version_id,
+    )
 
 
 class ArtifactRegistry:
@@ -164,15 +272,11 @@ class ArtifactRegistry:
         #: Loads/fits in flight, keyed by slot (stable) or identity
         #: (canary): concurrent cold demand fits once.
         self._fitting = AsyncSingleFlight()
-        #: key → ResolvedMachine for preset-fitted artifacts, so
-        #: :meth:`machine_for` can rebuild the preset machine (with its
-        #: calibration overrides) instead of a stock KNL one.
-        self._specs: Dict[str, Any] = {}
 
     # -- keys ---------------------------------------------------------------
 
-    def key_for(self, config: MachineConfig) -> str:
-        """Content address (store slot) of the artifact for ``config``.
+    def key_for(self, ref: MachineRef) -> str:
+        """Content address (store slot) of the artifact for ``ref``.
 
         Same scheme as the runtime result cache: SHA-256 over the
         fingerprinted parts + ``repro.__version__`` (a version bump
@@ -181,25 +285,7 @@ class ArtifactRegistry:
         return cache_key(
             scope="serve.artifact",
             schema=ARTIFACT_SCHEMA_VERSION,
-            config=config,
-            iterations=self.iterations,
-            seed=self.seed,
-        )
-
-    def key_for_machine(self, rm) -> str:
-        """Content address for a catalog preset's artifact.
-
-        Distinct from :meth:`key_for` even when the preset's
-        ``MachineConfig`` coincides with a raw-config request: the
-        preset name and its full knob set are part of the key, so two
-        machines never share an artifact slot.
-        """
-        return cache_key(
-            scope="serve.artifact",
-            schema=ARTIFACT_SCHEMA_VERSION,
-            machine=rm.name,
-            knobs=rm.knobs,
-            config=rm.to_machine_config(),
+            **ref.key_parts(),
             iterations=self.iterations,
             seed=self.seed,
         )
@@ -227,7 +313,7 @@ class ArtifactRegistry:
 
     def preload(
         self,
-        config: MachineConfig,
+        ref: MachineRef,
         capability: CapabilityModel,
         persist: bool = False,
     ) -> Artifact:
@@ -240,27 +326,11 @@ class ArtifactRegistry:
         injecting the parent's prefit must not re-write what the parent
         already persisted.
         """
-        key = self.key_for(config)
         artifact = Artifact(
-            key=key, config=config, capability=capability, source="preload"
-        )
-        return self._register(self._attach_version(artifact, persist))
-
-    def preload_machine(
-        self,
-        rm,
-        capability: CapabilityModel,
-        persist: bool = False,
-    ) -> Artifact:
-        """Inject an already-fitted model under a preset's key."""
-        key = self.key_for_machine(rm)
-        self._specs[key] = rm
-        artifact = Artifact(
-            key=key,
-            config=rm.to_machine_config(),
+            key=self.key_for(ref),
+            ref=ref,
             capability=capability,
             source="preload",
-            machine=rm.name,
         )
         return self._register(self._attach_version(artifact, persist))
 
@@ -295,47 +365,21 @@ class ArtifactRegistry:
     # -- the serving path ---------------------------------------------------
 
     async def get(
-        self, config: MachineConfig, content_key: Optional[str] = None
+        self, ref: MachineRef, content_key: Optional[str] = None
     ) -> Artifact:
-        """The artifact serving ``config`` for this query — canary ring
+        """The artifact serving ``ref`` for this query — canary ring
         routing first, then warm hit, store load, legacy adoption, or a
         single-flighted fit, in that order."""
-        key = self.key_for(config)
-        artifact = await self._resolve(
-            key,
-            content_key,
-            lambda: self._load_or_fit(key, config),
-            config=config,
-        )
+        key = self.key_for(ref)
+        artifact = await self._resolve(key, ref, content_key)
         self._count_request(artifact)
         return artifact
 
-    async def get_machine(
-        self, rm, content_key: Optional[str] = None
-    ) -> Artifact:
-        """The fitted artifact for a catalog preset
-        (:class:`~repro.machines.spec.ResolvedMachine`), with the same
-        routing/single-flight discipline as :meth:`get` — cold fits run
-        the full suite on the preset's own machine."""
-        key = self.key_for_machine(rm)
-        self._specs[key] = rm
-        artifact = await self._resolve(
-            key,
-            content_key,
-            lambda: self._load_or_fit_machine(key, rm),
-            config=rm.to_machine_config(),
-            machine=rm.name,
-        )
-        self._count_request(artifact)
-        return artifact
+    # The benchmark's trace probes wrap this name; it goes when they stop.
+    get_machine = get
 
     async def _resolve(
-        self,
-        key: str,
-        content_key: Optional[str],
-        loader,
-        config: MachineConfig,
-        machine: Optional[str] = None,
+        self, key: str, ref: MachineRef, content_key: Optional[str]
     ) -> Artifact:
         view = self._view(key)
         if (
@@ -344,7 +388,7 @@ class ArtifactRegistry:
             and content_key is not None
             and view.ring.version_for(content_key) == "canary"
         ):
-            artifact = await self._get_canary(key, view, config, machine)
+            artifact = await self._get_canary(key, view, ref)
             if artifact is not None:
                 return artifact
             # Canary version unusable: fall through to stable rather
@@ -358,7 +402,9 @@ class ArtifactRegistry:
         ):
             counter("serve.artifacts.hits").inc()
             return hit
-        return await self._singleflight(key, loader)
+        return await self._singleflight(
+            key, lambda: self._load_or_fit(key, ref)
+        )
 
     def _view(self, key: str) -> _SlotView:
         """Cached routing view of one slot (manifest read on first
@@ -374,11 +420,7 @@ class ArtifactRegistry:
         return view
 
     async def _get_canary(
-        self,
-        key: str,
-        view: _SlotView,
-        config: MachineConfig,
-        machine: Optional[str],
+        self, key: str, view: _SlotView, ref: MachineRef
     ) -> Optional[Artifact]:
         vid = view.canary
         assert vid is not None
@@ -391,7 +433,7 @@ class ArtifactRegistry:
             return await self._singleflight(
                 identity,
                 lambda: self._artifact_from_version(
-                    key, vid, config, machine, source="store"
+                    key, vid, ref, source="store"
                 ),
                 stable=False,
             )
@@ -429,19 +471,13 @@ class ArtifactRegistry:
 
         Built on demand and cached per key — construction is cheap
         next to a fit but not free, and measured ``/v1/tune`` calls
-        reuse the machine's deterministic seed.  Preset artifacts
-        rebuild through their spec so calibration overrides apply.
+        reuse the machine's deterministic seed.
         """
         machine = self._machines.get(artifact.key)
         if machine is None:
-            spec = self._specs.get(artifact.key)
-            if spec is not None:
-                machine = spec.build(seed=self.seed)
-            else:
-                from repro.machine.machine import KNLMachine
-
-                machine = KNLMachine(artifact.config, seed=self.seed)
-            self._machines[artifact.key] = machine
+            machine = self._machines[artifact.key] = artifact.ref.build(
+                self.seed
+            )
         return machine
 
     # -- hot swap ------------------------------------------------------------
@@ -460,17 +496,13 @@ class ArtifactRegistry:
         counter("serve.store.reloads").inc()
         summary: Dict[str, Any] = {}
         known = set(self._views) | set(self._warm)
-        known.update(s.slot for s in self._iter_store_slots())
+        try:
+            known.update(s.slot for s in self.store.slots())
+        except StoreError:
+            counter("serve.store.manifest_errors").inc()
         for slot in sorted(known):
             summary[slot] = self._reload_slot(slot)
         return summary
-
-    def _iter_store_slots(self):
-        try:
-            return self.store.slots()
-        except StoreError:
-            counter("serve.store.manifest_errors").inc()
-            return []
 
     def _reload_slot(self, slot: str) -> Dict[str, Any]:
         try:
@@ -494,11 +526,7 @@ class ArtifactRegistry:
         ):
             try:
                 fresh = self._artifact_from_version(
-                    slot,
-                    view.latest,
-                    current.config,
-                    current.machine,
-                    source="store",
+                    slot, view.latest, current.ref, source="store"
                 )
             except ReproError as e:
                 counter("serve.store.load_errors").inc()
@@ -527,12 +555,7 @@ class ArtifactRegistry:
     # -- disk + fit (worker thread) -----------------------------------------
 
     def _artifact_from_version(
-        self,
-        slot: str,
-        version_id: str,
-        config: MachineConfig,
-        machine: Optional[str],
-        source: str,
+        self, slot: str, version_id: str, ref: MachineRef, source: str
     ) -> Artifact:
         """Materialize one store version as a servable artifact.
 
@@ -545,38 +568,16 @@ class ArtifactRegistry:
             # LRU touch — serve-edge clock read, per DET rules.
             touch_at=time.time(),
         )
-        capability = CapabilityModel.from_dict(record.capability)
-        return Artifact(
-            key=slot,
-            config=config,
-            capability=capability,
-            source=source,
-            fit_seconds=record.fit_seconds,
-            machine=machine if machine is not None else record.machine,
-            version=version_id,
-        )
+        return _from_record(slot, ref, record, source)
 
-    def _load_or_fit(self, key: str, config: MachineConfig) -> Artifact:
-        artifact = self._load(key, config)
+    def _load_or_fit(self, key: str, ref: MachineRef) -> Artifact:
+        artifact = self._load(key, ref)
         if artifact is not None:
             counter("serve.artifacts.loads").inc()
             return artifact
-        return self._fit(key, config)
+        return self._fit(key, ref)
 
-    def _load_or_fit_machine(self, key: str, rm) -> Artifact:
-        config = rm.to_machine_config()
-        artifact = self._load(key, config, machine=rm.name)
-        if artifact is not None:
-            counter("serve.artifacts.loads").inc()
-            return artifact
-        return self._fit_machine(key, rm)
-
-    def _load(
-        self,
-        key: str,
-        config: MachineConfig,
-        machine: Optional[str] = None,
-    ) -> Optional[Artifact]:
+    def _load(self, key: str, ref: MachineRef) -> Optional[Artifact]:
         """Cold-start load: the manifest's latest, else an adopted
         legacy flat file.  ``None`` (→ refit) on anything unusable —
         a corrupt or missing entry must degrade to a fit, not a 500."""
@@ -584,79 +585,35 @@ class ArtifactRegistry:
         if view.latest is not None:
             try:
                 return self._artifact_from_version(
-                    key, view.latest, config, machine, source="store"
+                    key, view.latest, ref, source="store"
                 )
             except ReproError:
                 counter("serve.store.load_errors").inc()
         record = self.store.adopt_legacy(key)
-        if record is not None:
-            try:
-                capability = CapabilityModel.from_dict(record.capability)
-            except ReproError:
-                return None
-            # Adoption made it the slot's latest; refresh the view.
-            self._views.pop(key, None)
-            return Artifact(
-                key=key,
-                config=config,
-                capability=capability,
-                source="disk",
-                fit_seconds=record.fit_seconds,
-                machine=machine if machine is not None else record.machine,
-                version=record.version_id,
-            )
-        return None
+        if record is None:
+            return None
+        # Adoption made it the slot's latest; refresh the view.
+        self._views.pop(key, None)
+        try:
+            return _from_record(key, ref, record, source="disk")
+        except ReproError:
+            return None
 
-    def _fit_machine(self, key: str, rm) -> Artifact:
-        from repro.bench import characterize
-        from repro.model import derive_capability_model
-
+    def _fit(self, key: str, ref: MachineRef) -> Artifact:
         counter("serve.artifacts.fits").inc()
         t0 = time.perf_counter()
         with span(
             "serve.artifact.fit", category="serve",
-            key=key[:12], machine=rm.name,
+            key=key[:12], machine=ref.name,
         ):
-            machine = rm.build(seed=self.seed)
-            char = characterize(
-                machine, iterations=self.iterations, seed=self.seed
-            )
-            capability = derive_capability_model(char)
-        elapsed = time.perf_counter() - t0
+            capability, machine = ref.fit(self.iterations, self.seed)
         self._machines[key] = machine
         artifact = Artifact(
             key=key,
-            config=rm.to_machine_config(),
+            ref=ref,
             capability=capability,
             source="fit",
-            fit_seconds=elapsed,
-            machine=rm.name,
-        )
-        artifact = self._attach_version(artifact, persist=self.persist)
-        self._views.pop(key, None)  # the publish moved latest
-        return artifact
-
-    def _fit(self, key: str, config: MachineConfig) -> Artifact:
-        from repro.bench import characterize
-        from repro.machine.machine import KNLMachine
-        from repro.model import derive_capability_model
-
-        counter("serve.artifacts.fits").inc()
-        t0 = time.perf_counter()
-        with span("serve.artifact.fit", category="serve", key=key[:12]):
-            machine = KNLMachine(config, seed=self.seed)
-            char = characterize(
-                machine, iterations=self.iterations, seed=self.seed
-            )
-            capability = derive_capability_model(char)
-        elapsed = time.perf_counter() - t0
-        self._machines[key] = machine
-        artifact = Artifact(
-            key=key,
-            config=config,
-            capability=capability,
-            source="fit",
-            fit_seconds=elapsed,
+            fit_seconds=time.perf_counter() - t0,
         )
         artifact = self._attach_version(artifact, persist=self.persist)
         self._views.pop(key, None)  # the publish moved latest

@@ -40,7 +40,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
-import signal
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -49,17 +48,27 @@ from repro.errors import ConfigurationError, ReproError
 from repro.obs import counter, gauge, histogram, metrics_snapshot, span
 from repro.runtime.pool import _mp_context
 from repro.runtime.supervisor import RetryPolicy
-from repro.serve.app import DEFAULT_DEADLINES, ServeApp, ServeConfig
+from repro.serve.app import (
+    DEFAULT_DEADLINES,
+    ServeApp,
+    ServeConfig,
+    wait_for_stop,
+)
+from repro.serve.artifacts import MachineRef, machines_response
 from repro.serve.protocol import (
     Request,
     Response,
     content_key,
+    route,
     serve_connection,
 )
 from repro.serve.router import HashRing, WorkerClient
 from repro._version import __version__
 
-_POST_ROUTES = ("/v1/predict", "/v1/advise", "/v1/tune")
+#: What a round-trip to a worker raises when the worker is gone or stuck.
+_TRANSPORT_ERRORS = (
+    OSError, asyncio.TimeoutError, asyncio.IncompleteReadError
+)
 
 #: Worker lifecycle states (reported verbatim in ``/healthz``).
 BOOTING = "booting"
@@ -137,10 +146,9 @@ async def _worker_async(name: str, config: ServeConfig, warm_model, conn) -> Non
     try:
         if warm_model is not None:
             from repro.model.parameters import CapabilityModel
-            from repro.serve.artifacts import config_from_json
 
             app.registry.preload(
-                config_from_json(None),
+                app.ref_for(None, None),
                 CapabilityModel.from_dict(warm_model),
             )
         host, port = await app.start()
@@ -153,11 +161,7 @@ async def _worker_async(name: str, config: ServeConfig, warm_model, conn) -> Non
     conn.send(("ok", port))
     conn.close()
 
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(sig, stop.set)
-    await stop.wait()
+    await wait_for_stop()
     # The ordinary drain path: refuse new work, flush the batcher,
     # finish writing every admitted response, then exit 0.
     await app.stop()
@@ -205,6 +209,17 @@ class Fleet:
         self._active_requests = 0
         self._draining = False
         self._spawned = 0
+        #: One handler per route of :data:`~repro.serve.protocol.ROUTES`;
+        #: model queries relay to their content key's worker.
+        self._routes = {
+            "/healthz": self._healthz,
+            "/metrics": self._metrics,
+            "/v1/machines": self._machines,
+            "/v1/predict": self._forward,
+            "/v1/advise": self._forward,
+            "/v1/tune": self._forward,
+            "/v1/admin/reload": self._admin_reload,
+        }
 
     # -- introspection ------------------------------------------------------
 
@@ -252,17 +267,9 @@ class Fleet:
         return self.config.host, self.port
 
     async def _prefit(self) -> Dict[str, Any]:
-        """Fit the default artifact once, in the parent."""
-        from repro.serve.artifacts import ArtifactRegistry, config_from_json
-
-        wc = self.config.worker
-        registry = ArtifactRegistry(
-            iterations=wc.iterations,
-            seed=wc.seed,
-            directory=wc.artifact_dir,
-            persist=wc.persist_artifacts,
-        )
-        artifact = await registry.get(config_from_json(None))
+        """Fit the default artifact once, in the parent, exactly as a
+        worker's own ``ServeApp`` would."""
+        artifact = await ServeApp(self.config.worker).warm()
         return artifact.capability.to_dict()
 
     def _spawn(self) -> _Worker:
@@ -296,14 +303,7 @@ class Fleet:
                     return False
                 worker.port = int(detail)
                 worker.client = WorkerClient("127.0.0.1", worker.port)
-                try:
-                    status, _, _ = await worker.client.request_bytes(
-                        "GET", "/healthz",
-                        timeout=self.config.health_timeout_s,
-                    )
-                except (OSError, ConnectionError, asyncio.TimeoutError):
-                    return False
-                if status != 200:
+                if not await self._healthy(worker):
                     return False
                 self._mark_up(worker)
                 return True
@@ -388,16 +388,19 @@ class Fleet:
                     self._restart_tasks.add(task)
                     task.add_done_callback(self._restart_tasks.discard)
 
-    async def _probe(self, worker: _Worker) -> None:
+    async def _healthy(self, worker: _Worker) -> bool:
+        """One ``/healthz`` probe: answered 200 within the timeout."""
         assert worker.client is not None
         try:
             status, _, _ = await worker.client.request_bytes(
                 "GET", "/healthz", timeout=self.config.health_timeout_s
             )
-            ok = status == 200
-        except (OSError, ConnectionError, asyncio.TimeoutError):
-            ok = False
-        if ok:
+        except _TRANSPORT_ERRORS:
+            return False
+        return status == 200
+
+    async def _probe(self, worker: _Worker) -> None:
+        if await self._healthy(worker):
             worker.misses = 0
         else:
             worker.misses += 1
@@ -456,40 +459,14 @@ class Fleet:
             method=request.method,
             route=request.route,
         ) as sp:
-            response = await self._route(request)
+            response = await route(request, self._routes)
             sp.set(status=response.status)
         histogram("serve.fleet.proxy_ms", unit="ms").observe(
             (time.perf_counter() - t0) * 1e3
         )
         return response
 
-    async def _route(self, request: Request) -> Response:
-        route = request.route
-        if route == "/healthz":
-            if request.method != "GET":
-                return Response.error(405, "/healthz only supports GET")
-            return self._healthz()
-        if route == "/metrics":
-            if request.method != "GET":
-                return Response.error(405, "/metrics only supports GET")
-            return await self._metrics()
-        if route == "/v1/machines":
-            if request.method != "GET":
-                return Response.error(405, "/v1/machines only supports GET")
-            return await self._machines()
-        if route == "/v1/admin/reload":
-            if request.method != "POST":
-                return Response.error(
-                    405, "/v1/admin/reload only supports POST"
-                )
-            return await self._admin_reload()
-        if route in _POST_ROUTES:
-            if request.method != "POST":
-                return Response.error(405, f"{route} only supports POST")
-            return await self._forward(request)
-        return Response.error(404, f"no route {route!r}")
-
-    def _healthz(self) -> Response:
+    async def _healthz(self, request: Request) -> Response:
         states = self.worker_states()
         up = sum(1 for s in states.values() if s == UP)
         if self._draining:
@@ -509,7 +486,31 @@ class Fleet:
             status=http,
         )
 
-    async def _admin_reload(self) -> Response:
+    async def _ask_up(
+        self, method: str, route: str, timeout: float
+    ) -> Dict[str, Any]:
+        """One request to every up worker at once: ``{name: (status,
+        decoded JSON body or None)}``, or the transport error a worker
+        raised instead."""
+
+        async def ask(worker: _Worker) -> Tuple[str, Any]:
+            assert worker.client is not None
+            try:
+                status, _, raw = await worker.client.request_bytes(
+                    method, route, timeout=timeout
+                )
+            except _TRANSPORT_ERRORS as e:
+                return worker.name, e
+            try:
+                return worker.name, (status, json.loads(raw))
+            except ValueError:
+                return worker.name, (status, None)
+
+        return dict(
+            await asyncio.gather(*(ask(w) for w in self.up_workers()))
+        )
+
+    async def _admin_reload(self, request: Request) -> Response:
         """``POST /v1/admin/reload`` broadcast: hot-swap fleet-wide.
 
         Every up worker re-reads the shared store manifest and swaps
@@ -520,60 +521,37 @@ class Fleet:
         operator knows the fleet is serving mixed versions.
         """
         counter("serve.fleet.reloads").inc()
-        workers_doc: Dict[str, Any] = {}
-        ok = True
-        up = self.up_workers()
-        if not up:
+        if not self.up_workers():
             return Response.error(
                 503, "no worker available to reload; retry shortly",
                 headers={"Retry-After": "1"},
             )
-
-        async def reload_one(worker: _Worker) -> Tuple[str, Dict[str, Any]]:
-            assert worker.client is not None
-            try:
-                status, _, raw = await worker.client.request_bytes(
-                    "POST", "/v1/admin/reload", b"", timeout=30.0
-                )
-            except (
-                OSError,
-                ConnectionError,
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-            ) as e:
-                return worker.name, {
-                    "status": "error",
-                    "error": f"{type(e).__name__}: {e}",
-                }
-            if status != 200:
-                return worker.name, {
-                    "status": "error",
-                    "error": f"worker answered {status}",
-                }
-            try:
-                doc = json.loads(raw)
-            except ValueError:
-                doc = {}
-            return worker.name, {
-                "status": "ok",
-                "slots": doc.get("slots", {}),
-            }
-
-        for name, doc in await asyncio.gather(
-            *(reload_one(w) for w in up)
-        ):
-            workers_doc[name] = doc
-            if doc["status"] != "ok":
-                ok = False
+        answers = await self._ask_up("POST", "/v1/admin/reload", 30.0)
+        workers_doc: Dict[str, Any] = {}
         for name, worker in sorted(self._workers.items()):
-            if name not in workers_doc:
-                workers_doc[name] = {"status": worker.state}
-                ok = False
+            answer = answers.get(name)
+            if answer is None:
+                doc = {"status": worker.state}
+            elif isinstance(answer, Exception):
+                doc = {
+                    "status": "error",
+                    "error": f"{type(answer).__name__}: {answer}",
+                }
+            elif answer[0] != 200:
+                doc = {
+                    "status": "error",
+                    "error": f"worker answered {answer[0]}",
+                }
+            else:
+                body = answer[1] if isinstance(answer[1], dict) else {}
+                doc = {"status": "ok", "slots": body.get("slots", {})}
+            workers_doc[name] = doc
+        ok = all(doc["status"] == "ok" for doc in workers_doc.values())
         return Response.json(
             {"status": "ok" if ok else "partial", "workers": workers_doc}
         )
 
-    async def _machines(self) -> Response:
+    async def _machines(self, request: Request) -> Response:
         """``GET /v1/machines`` aggregated across the fleet.
 
         The catalog itself is a property of the installation, but
@@ -583,77 +561,42 @@ class Fleet:
         both the aggregate (``warm`` = warm anywhere) and the
         per-worker breakdown — this used to answer ``warm: null``.
         """
-        from repro.errors import ReproError
-        from repro.machines import (
-            DEFAULT_MACHINE,
-            MACHINES_SCHEMA_VERSION,
-            list_machines,
+        answers = await self._ask_up(
+            "GET", "/v1/machines", self.config.health_timeout_s
         )
-
-        try:
-            machines = list_machines()
-        except ReproError as e:
-            return Response.error(500, f"machine catalog is broken: {e}")
-
-        async def ask(worker: _Worker) -> Tuple[str, Dict[str, Any]]:
-            assert worker.client is not None
-            try:
-                status, _, raw = await worker.client.request_bytes(
-                    "GET", "/v1/machines",
-                    timeout=self.config.health_timeout_s,
-                )
-                if status == 200:
-                    doc = json.loads(raw)
-                    return worker.name, {
-                        m["name"]: m for m in doc.get("machines", [])
+        reports: Dict[str, Dict[str, Any]] = {}
+        for name, answer in answers.items():
+            reports[name] = {}
+            if isinstance(answer, tuple) and answer[0] == 200:
+                try:
+                    reports[name] = {
+                        m["name"]: m for m in answer[1]["machines"]
                     }
-            except (
-                OSError,
-                ConnectionError,
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-                ValueError,
-                KeyError,
-                TypeError,
-            ):
-                pass
-            return worker.name, {}
+                except (TypeError, KeyError):
+                    pass
 
-        reports = dict(
-            await asyncio.gather(*(ask(w) for w in self.up_workers()))
-        )
-        entries = []
-        for rm in machines:
+        def status_of(ref: MachineRef) -> Dict[str, Any]:
             workers_doc = {}
             for wname in sorted(reports):
-                entry = reports[wname].get(rm.name)
-                if entry is None:
-                    continue
-                workers_doc[wname] = {
-                    "warm": bool(entry.get("warm")),
-                    "version": entry.get("version"),
-                }
-            entries.append(
-                {
-                    "name": rm.name,
-                    "description": rm.description,
-                    "config_label": rm.to_machine_config().label(),
-                    "default": rm.name == DEFAULT_MACHINE,
-                    "warm": any(w["warm"] for w in workers_doc.values()),
-                    "workers": workers_doc,
-                    "cache_key": rm.cache_key,
-                }
-            )
-        return Response.json(
-            {
-                "schema_version": MACHINES_SCHEMA_VERSION,
-                "machines": entries,
+                entry = reports[wname].get(ref.name)
+                if entry is not None:
+                    workers_doc[wname] = {
+                        "warm": bool(entry.get("warm")),
+                        "version": entry.get("version"),
+                    }
+            return {
+                "warm": any(w["warm"] for w in workers_doc.values()),
+                "workers": workers_doc,
             }
-        )
 
-    async def _metrics(self) -> Response:
+        return machines_response(status_of)
+
+    async def _metrics(self, request: Request) -> Response:
         """Front-end snapshot + every worker's, ``worker``-labeled."""
         merged: Dict[str, Any] = dict(metrics_snapshot())
+        answers = await self._ask_up(
+            "GET", "/metrics", self.config.health_timeout_s
+        )
         workers_doc: Dict[str, Any] = {}
         for name, worker in sorted(self._workers.items()):
             doc: Dict[str, Any] = {
@@ -661,25 +604,18 @@ class Fleet:
                 "port": worker.port,
                 "crashes": worker.failures,
             }
-            if worker.state == UP and worker.client is not None:
+            answer = answers.get(name)
+            if isinstance(answer, Exception):
+                doc["metrics_error"] = "unreachable"
+            elif answer is not None and answer[0] == 200:
                 try:
-                    status, _, raw = await worker.client.request_bytes(
-                        "GET", "/metrics",
-                        timeout=self.config.health_timeout_s,
-                    )
-                    if status == 200:
-                        snapshot = json.loads(raw)["metrics"]
-                        doc["metrics"] = snapshot
-                        for metric, value in snapshot.items():
-                            merged[f'{metric}{{worker="{name}"}}'] = value
-                except (
-                    OSError,
-                    ConnectionError,
-                    asyncio.TimeoutError,
-                    ValueError,
-                    KeyError,
-                ):
+                    snapshot = dict(answer[1]["metrics"])
+                except (TypeError, KeyError, ValueError):
                     doc["metrics_error"] = "unreachable"
+                else:
+                    doc["metrics"] = snapshot
+                    for metric, value in snapshot.items():
+                        merged[f'{metric}{{worker="{name}"}}'] = value
             workers_doc[name] = doc
         return Response.json({"metrics": merged, "workers": workers_doc})
 
@@ -722,12 +658,7 @@ class Fleet:
                     request.body,
                     timeout=deadline + 5.0,
                 )
-            except (
-                OSError,
-                ConnectionError,
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-            ):
+            except _TRANSPORT_ERRORS:
                 counter("serve.fleet.proxy_errors").inc()
                 # A dead process needn't wait for the health loop.
                 if not worker.process.is_alive():
@@ -781,11 +712,7 @@ async def run_fleet(config: FleetConfig, quiet: bool = False) -> int:
             f"(workers on {[w.port for w in fleet.up_workers()]})",
             flush=True,
         )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(sig, stop.set)
-    await stop.wait()
+    await wait_for_stop()
     if not quiet:
         print("[serve] draining fleet...", flush=True)
     await fleet.stop()

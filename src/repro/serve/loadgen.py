@@ -345,37 +345,23 @@ def main_loadgen(argv=None) -> int:
         body = None
 
     async def run() -> Dict[str, Any]:
+        app = None
+        host, port = args.host, args.port
         if args.self_host:
             from repro.serve.app import ServeApp, ServeConfig
 
             app = ServeApp(
                 ServeConfig(iterations=args.iterations, seed=args.seed)
             )
-            if machine_names:
-                # Pre-fit the targeted presets so the measured burst
-                # exercises serving, not cold-fit latency.
-                for name in machine_names:
-                    await app.warm(machine=name)
-            else:
-                await app.warm()
-            await app.start()
-            try:
-                result = await run_loadgen(
-                    app.config.host,
-                    app.port,
-                    endpoint=args.endpoint,
-                    body=body,
-                    bodies=bodies,
-                    body_labels=body_labels,
-                    concurrency=args.concurrency,
-                    requests=args.requests,
-                )
-            finally:
-                await app.stop()
-        else:
+            # Pre-fit the targeted machines so the measured burst
+            # exercises serving, not cold-fit latency.
+            for name in machine_names or [None]:
+                await app.warm(machine=name)
+            host, port = await app.start()
+        try:
             result = await run_loadgen(
-                args.host,
-                args.port,
+                host,
+                port,
                 endpoint=args.endpoint,
                 body=body,
                 bodies=bodies,
@@ -383,6 +369,9 @@ def main_loadgen(argv=None) -> int:
                 concurrency=args.concurrency,
                 requests=args.requests,
             )
+        finally:
+            if app is not None:
+                await app.stop()
         return result.summarize()
 
     doc = asyncio.run(run())

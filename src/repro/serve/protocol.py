@@ -11,8 +11,9 @@ wire format on both sides:
 * :class:`Response` / :func:`write_response` — serialize a response
   (``Response.json`` builds the common JSON case);
 * :func:`serve_connection` — the keep-alive request loop every front end
-  (one server, the fleet proxy) runs per connection, and
-  :func:`content_key` — the request identity both route and dedup on;
+  (one server, the fleet proxy) runs per connection,
+  :data:`ROUTES`/:func:`route` — the route table both dispatch through,
+  and :func:`content_key` — the request identity both route and dedup on;
 * :class:`ClientConnection` / :func:`http_request` — the client used by
   the load generator and the tests.
 
@@ -26,7 +27,7 @@ import asyncio
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import ReproError
@@ -202,6 +203,36 @@ async def write_response(
 ) -> None:
     writer.write(response.encode(keep_alive=keep_alive))
     await writer.drain()
+
+
+#: Every route a front end (one server or the fleet) answers, with the one
+#: method it accepts.
+ROUTES = {
+    "/healthz": "GET",
+    "/metrics": "GET",
+    "/v1/machines": "GET",
+    "/v1/predict": "POST",
+    "/v1/advise": "POST",
+    "/v1/tune": "POST",
+    "/v1/admin/reload": "POST",
+}
+
+Handler = Callable[[Request], Awaitable[Response]]
+
+
+async def route(request: Request, handlers: Mapping[str, Handler]) -> Response:
+    """Answer ``request`` with its route's handler, or the 404/405 the
+    :data:`ROUTES` table implies (a 405 names the method in ``Allow``)."""
+    method = ROUTES.get(request.route)
+    if method is None:
+        return Response.error(404, f"no route {request.route!r}")
+    if request.method != method:
+        return Response.error(
+            405,
+            f"{request.route} only supports {method}",
+            headers={"Allow": method},
+        )
+    return await handlers[request.route](request)
 
 
 def content_key(route: str, body: bytes) -> str:

@@ -172,28 +172,14 @@ def _fit_payload(
     machine_name: Optional[str], iterations: int, seed: int
 ) -> Tuple[str, Dict[str, Any], Optional[str]]:
     """Fit like the server would; returns (slot, payload, preset)."""
-    from repro.bench import characterize
-    from repro.model import derive_capability_model
-    from repro.serve.artifacts import ArtifactRegistry, config_from_json
+    from repro.serve.app import ServeApp, ServeConfig
 
-    registry = ArtifactRegistry(
-        iterations=iterations, seed=seed, persist=False
+    app = ServeApp(
+        ServeConfig(iterations=iterations, seed=seed, persist_artifacts=False)
     )
-    if machine_name is not None:
-        from repro.machines import get_machine
-
-        rm = get_machine(machine_name)
-        slot = registry.key_for_machine(rm)
-        machine = rm.build(seed=seed)
-    else:
-        from repro.machine.machine import KNLMachine
-
-        config = config_from_json(None)
-        slot = registry.key_for(config)
-        machine = KNLMachine(config, seed=seed)
-    char = characterize(machine, iterations=iterations, seed=seed)
-    capability = derive_capability_model(char)
-    return slot, capability.to_dict(), machine_name
+    ref = app.ref_for(machine_name, None)
+    capability, _machine = ref.fit(iterations, seed)
+    return app.registry.key_for(ref), capability.to_dict(), ref.name
 
 
 def _file_payload(

@@ -423,28 +423,6 @@ class ArtifactStore:
 
     # -- routing mutations ---------------------------------------------------
 
-    def set_canary(
-        self, slot: str, version_id: str, percent: float
-    ) -> SlotState:
-        """Point the slot's canary at an existing version."""
-        if not (0 < percent <= 100):
-            raise StoreError(
-                f"canary percent must be within (0, 100], got {percent!r}"
-            )
-        with self._lock:
-            docs = self._load_slots()
-            doc = docs.get(slot)
-            if doc is None:
-                raise StoreError(f"unknown slot {slot[:16]!r}")
-            if self._get_record(version_id) is None:
-                raise StoreError(
-                    f"unknown artifact version {version_id[:16]!r}"
-                )
-            doc["canary"] = version_id
-            doc["canary_percent"] = float(percent)
-            self._write_manifest()
-            return self._state(slot, doc)
-
     def promote(self, slot: str) -> SlotState:
         """Canary graduates to ``latest``; the canary slice clears."""
         with self._lock:

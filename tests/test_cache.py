@@ -382,11 +382,11 @@ class TestServeByteIdentity:
         self, snc4_flat_config, capability
     ):
         from repro.serve.app import ServeApp, ServeConfig
-        from repro.serve.artifacts import ArtifactRegistry
+        from repro.serve.artifacts import ArtifactRegistry, MachineRef
         from repro.serve.protocol import ClientConnection
 
         registry = ArtifactRegistry(persist=False)
-        registry.preload(snc4_flat_config, capability)
+        registry.preload(MachineRef(snc4_flat_config), capability)
         app = ServeApp(ServeConfig(), registry=registry)
         body = json.dumps({
             "queries": [

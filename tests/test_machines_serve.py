@@ -13,7 +13,7 @@ from repro.bench import characterize
 from repro.machines import DEFAULT_MACHINE, get_machine, list_machines
 from repro.model import derive_capability_model
 from repro.serve.app import ServeApp, ServeConfig
-from repro.serve.artifacts import ArtifactRegistry
+from repro.serve.artifacts import ArtifactRegistry, MachineRef
 from repro.serve.protocol import http_request
 
 
@@ -24,9 +24,9 @@ def run(coro):
 @pytest.fixture()
 def registry(snc4_flat_config, capability):
     reg = ArtifactRegistry(persist=False)
-    reg.preload(snc4_flat_config, capability)
+    reg.preload(MachineRef(snc4_flat_config), capability)
     for rm in list_machines():
-        reg.preload_machine(rm, capability)
+        reg.preload(MachineRef.of(rm), capability)
     return reg
 
 
@@ -79,7 +79,7 @@ class TestMachineSelection:
         own = derive_capability_model(
             characterize(rm.build(seed=1234), iterations=3, seed=1234)
         )
-        registry.preload_machine(rm, own)
+        registry.preload(MachineRef.of(rm), own)
         bandwidth = {"metric": "bandwidth", "op": "copy", "kind": "mcdram"}
 
         async def client(host, port):
@@ -183,11 +183,11 @@ class TestRegistryMachineIdentity:
         self, registry, snc4_flat_config
     ):
         for rm in list_machines():
-            assert registry.key_for_machine(rm) != registry.key_for(
-                rm.to_machine_config()
+            assert registry.key_for(MachineRef.of(rm)) != registry.key_for(
+                MachineRef(rm.to_machine_config())
             )
         # Nor do any two presets share one.
-        keys = {registry.key_for_machine(rm) for rm in list_machines()}
+        keys = {registry.key_for(MachineRef.of(rm)) for rm in list_machines()}
         assert len(keys) == len(list_machines())
 
     def test_single_flight_per_machine(self, capability):
@@ -195,18 +195,18 @@ class TestRegistryMachineIdentity:
         reg = ArtifactRegistry(persist=False, iterations=1)
         rm = get_machine("knl-7250")
         fits = 0
-        real = reg._fit_machine
+        real = reg._fit
 
-        def counting(key, spec):
+        def counting(key, ref):
             nonlocal fits
             fits += 1
-            return real(key, spec)
+            return real(key, ref)
 
-        reg._fit_machine = counting
+        reg._fit = counting
 
         async def go():
             return await asyncio.gather(
-                *(reg.get_machine(rm) for _ in range(8))
+                *(reg.get(MachineRef.of(rm)) for _ in range(8))
             )
 
         artifacts = run(go())
@@ -218,7 +218,7 @@ class TestRegistryMachineIdentity:
         rm = get_machine("numa-2s")
 
         async def go():
-            return await registry.get_machine(rm)
+            return await registry.get(MachineRef.of(rm))
 
         artifact = run(go())
         machine = registry.machine_for(artifact)
@@ -230,11 +230,11 @@ class TestRegistryMachineIdentity:
     ):
         rm = get_machine("knl-7250")
         writer = ArtifactRegistry(directory=str(tmp_path), persist=True)
-        writer.preload_machine(rm, capability, persist=True)
+        writer.preload(MachineRef.of(rm), capability, persist=True)
         reader = ArtifactRegistry(directory=str(tmp_path), persist=True)
 
         async def go():
-            return await reader.get_machine(rm)
+            return await reader.get(MachineRef.of(rm))
 
         artifact = run(go())
         assert artifact.source == "store"

@@ -19,7 +19,7 @@ from repro.serve.app import (
     build_serve_parser,
     _config_from_args,
 )
-from repro.serve.artifacts import ArtifactRegistry
+from repro.serve.artifacts import ArtifactRegistry, MachineRef
 from repro.serve.protocol import ClientConnection, http_request
 
 
@@ -29,7 +29,7 @@ def run(coro):
 
 def make_app(snc4_flat_config, capability, **config_kw):
     registry = ArtifactRegistry(persist=False)
-    registry.preload(snc4_flat_config, capability)
+    registry.preload(MachineRef(snc4_flat_config), capability)
     return ServeApp(ServeConfig(**config_kw), registry=registry)
 
 

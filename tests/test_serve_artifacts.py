@@ -13,6 +13,7 @@ from repro.serve.artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     Artifact,
     ArtifactRegistry,
+    MachineRef,
     config_from_json,
 )
 from repro.serve.protocol import ProtocolError
@@ -51,7 +52,7 @@ class TestConfigFromJson:
 class TestContentAddressing:
     def test_key_matches_the_shared_cache_scheme(self, snc4_flat_config):
         reg = ArtifactRegistry(iterations=7, seed=9, persist=False)
-        assert reg.key_for(snc4_flat_config) == cache_key(
+        assert reg.key_for(MachineRef(snc4_flat_config)) == cache_key(
             scope="serve.artifact",
             schema=ARTIFACT_SCHEMA_VERSION,
             config=snc4_flat_config,
@@ -64,13 +65,11 @@ class TestContentAddressing:
             cluster_mode=ClusterMode.QUADRANT, memory_mode=MemoryMode.FLAT
         )
         reg = ArtifactRegistry(iterations=7, persist=False)
-        assert reg.key_for(snc4_flat_config) != reg.key_for(other)
-        assert (
-            reg.key_for(snc4_flat_config)
-            != ArtifactRegistry(iterations=8, persist=False).key_for(
-                snc4_flat_config
-            )
-        )
+        ref = MachineRef(snc4_flat_config)
+        assert reg.key_for(ref) != reg.key_for(MachineRef(other))
+        assert reg.key_for(ref) != ArtifactRegistry(
+            iterations=8, persist=False
+        ).key_for(ref)
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -82,11 +81,11 @@ class TestRegistry:
         self, snc4_flat_config, capability
     ):
         reg = ArtifactRegistry(persist=False)
-        preloaded = reg.preload(snc4_flat_config, capability)
+        preloaded = reg.preload(MachineRef(snc4_flat_config), capability)
         assert len(reg) == 1
         assert reg.labels() == {preloaded.key: capability.config_label}
 
-        got = run(reg.get(snc4_flat_config))
+        got = run(reg.get(MachineRef(snc4_flat_config)))
         assert got is preloaded and got.source == "preload"
 
     def test_concurrent_cold_demand_fits_exactly_once(
@@ -97,20 +96,20 @@ class TestRegistry:
         reg = ArtifactRegistry(persist=False)
         fits = []
 
-        def fake_load_or_fit(key, config):
+        def fake_load_or_fit(key, ref):
             fits.append(key)
             import time
 
             time.sleep(0.05)  # wide window for the others to pile in
             return Artifact(
-                key=key, config=config, capability=capability, source="fit"
+                key=key, ref=ref, capability=capability, source="fit"
             )
 
         monkeypatch.setattr(reg, "_load_or_fit", fake_load_or_fit)
 
         async def go():
             return await asyncio.gather(
-                *(reg.get(snc4_flat_config) for _ in range(16))
+                *(reg.get(MachineRef(snc4_flat_config)) for _ in range(16))
             )
 
         results = run(go())
@@ -121,7 +120,7 @@ class TestRegistry:
         self, snc4_flat_config, capability
     ):
         reg = ArtifactRegistry(persist=False)
-        art = reg.preload(snc4_flat_config, capability)
+        art = reg.preload(MachineRef(snc4_flat_config), capability)
         m1 = reg.machine_for(art)
         assert reg.machine_for(art) is m1
         assert m1.config == snc4_flat_config
@@ -136,7 +135,7 @@ class TestDiskPersistence:
         reg = ArtifactRegistry(
             iterations=2, directory=str(tmp_path), persist=True
         )
-        fitted = run(reg.get(snc4_flat_config))
+        fitted = run(reg.get(MachineRef(snc4_flat_config)))
         assert fitted.source == "fit" and fitted.fit_seconds > 0
         assert fitted.version is not None
 
@@ -149,7 +148,7 @@ class TestDiskPersistence:
         fresh = ArtifactRegistry(
             iterations=2, directory=str(tmp_path), persist=True
         )
-        loaded = run(fresh.get(snc4_flat_config))
+        loaded = run(fresh.get(MachineRef(snc4_flat_config)))
         assert loaded.source == "store"
         assert loaded.version == fitted.version
         assert loaded.capability.RL == pytest.approx(fitted.capability.RL)
@@ -164,7 +163,7 @@ class TestDiskPersistence:
         reg = ArtifactRegistry(
             iterations=2, directory=str(tmp_path), persist=True
         )
-        key = reg.key_for(snc4_flat_config)
+        key = reg.key_for(MachineRef(snc4_flat_config))
         (tmp_path / f"{key}.json").write_text(
             json.dumps(
                 {
@@ -174,7 +173,7 @@ class TestDiskPersistence:
                 }
             )
         )
-        loaded = run(reg.get(snc4_flat_config))
+        loaded = run(reg.get(MachineRef(snc4_flat_config)))
         assert loaded.source == "disk"
         assert loaded.version is not None
         assert loaded.capability.RL == pytest.approx(capability.RL)
@@ -185,20 +184,20 @@ class TestDiskPersistence:
         reg = ArtifactRegistry(
             iterations=2, directory=str(tmp_path), persist=True
         )
-        key = reg.key_for(snc4_flat_config)
+        key = reg.key_for(MachineRef(snc4_flat_config))
         (tmp_path / f"{key}.json").write_text("{ not json")
-        artifact = run(reg.get(snc4_flat_config))
+        artifact = run(reg.get(MachineRef(snc4_flat_config)))
         assert artifact.source == "fit"
 
     def test_stale_schema_version_refits(self, tmp_path, snc4_flat_config):
         reg = ArtifactRegistry(
             iterations=2, directory=str(tmp_path), persist=True
         )
-        key = reg.key_for(snc4_flat_config)
+        key = reg.key_for(MachineRef(snc4_flat_config))
         (tmp_path / f"{key}.json").write_text(
             json.dumps({"schema_version": -1})
         )
-        assert run(reg.get(snc4_flat_config)).source == "fit"
+        assert run(reg.get(MachineRef(snc4_flat_config))).source == "fit"
 
 
 class TestCapabilityModelSerialization:

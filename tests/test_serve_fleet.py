@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
-from repro.serve.app import ServeConfig, build_serve_parser
+from repro.serve.app import ServeApp, ServeConfig, build_serve_parser
 from repro.serve.fleet import (
     UP,
     Fleet,
@@ -28,7 +28,12 @@ from repro.serve.fleet import (
     fleet_config_from_args,
 )
 from repro.serve.loadgen import run_loadgen
-from repro.serve.protocol import content_key, http_request
+from repro.serve.protocol import (
+    ROUTES,
+    ClientConnection,
+    content_key,
+    http_request,
+)
 from repro.serve.router import HashRing, WorkerClient
 
 pytestmark = pytest.mark.skipif(
@@ -185,6 +190,65 @@ def make_fleet(capability, workers=2, **fleet_kw):
 
 
 PREDICT_BODY = {"queries": [{"metric": "latency", "location": "local"}]}
+
+
+#: Every (route, wrong method) pair of the route table, plus one route
+#: that does not exist: ``(route, method, expected Allow or None)``.
+ROUTE_ERROR_CASES = [
+    pytest.param(
+        route,
+        "POST" if method == "GET" else "GET",
+        method,
+        id=f"{'POST' if method == 'GET' else 'GET'} {route}",
+    )
+    for route, method in ROUTES.items()
+] + [pytest.param("/v1/nope", "GET", None, id="GET /v1/nope")]
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("route,method,allow", ROUTE_ERROR_CASES)
+    def test_server_and_fleet_answer_alike(
+        self, capability, route, method, allow
+    ):
+        """One table, one answer: a 404 or a 405 naming the method in
+        ``Allow``, with the same bytes from a server and a fleet."""
+
+        async def ask(port):
+            conn = ClientConnection("127.0.0.1", port)
+            try:
+                return await conn.request_bytes(
+                    method, route, b"{}" if method == "POST" else b""
+                )
+            finally:
+                await conn.close()
+
+        async def go():
+            # Fork the fleet's workers before the server binds, so no
+            # worker inherits its listening socket.
+            fleet = make_fleet(capability)
+            await fleet.start()
+            app = ServeApp(ServeConfig(persist_artifacts=False))
+            await app.start()
+            try:
+                assert set(app._routes) == set(fleet._routes) == set(ROUTES)
+                return await ask(app.port), await ask(fleet.port)
+            finally:
+                await app.stop()
+                await fleet.stop()
+
+        (s_status, s_headers, s_body), (f_status, f_headers, f_body) = run(
+            go()
+        )
+        if allow is None:
+            status, message = 404, f"no route {route!r}"
+        else:
+            status, message = 405, f"{route} only supports {allow}"
+        assert s_status == f_status == status
+        assert s_body == f_body == json.dumps(
+            {"error": {"message": message, "status": status}},
+            sort_keys=True,
+        ).encode()
+        assert s_headers.get("allow") == f_headers.get("allow") == allow
 
 
 async def restart_count(host, port):
@@ -457,12 +521,12 @@ class TestFleetDrain:
 def two_version_store(tmp_path, snc4_flat_config, capability):
     """A shared store holding v1 as latest, a 2-worker fleet over it,
     and a v2 payload (``r_local`` + 1) ready to publish."""
-    from repro.serve.artifacts import ArtifactRegistry
+    from repro.serve.artifacts import ArtifactRegistry, MachineRef
 
     store_dir = str(tmp_path / "artifacts")
     parent = ArtifactRegistry(directory=store_dir, persist=True)
-    parent.preload(snc4_flat_config, capability, persist=True)
-    slot = parent.key_for(snc4_flat_config)
+    parent.preload(MachineRef(snc4_flat_config), capability, persist=True)
+    slot = parent.key_for(MachineRef(snc4_flat_config))
     v2_payload = capability.to_dict()
     v2_payload["r_local"] = v2_payload["r_local"] + 1.0
     fleet = make_fleet(

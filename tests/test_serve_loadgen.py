@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.serve.app import ServeApp, ServeConfig
-from repro.serve.artifacts import ArtifactRegistry
+from repro.serve.artifacts import ArtifactRegistry, MachineRef
 from repro.serve.loadgen import (
     DEFAULT_ADVISE_BODY,
     DEFAULT_PREDICT_BODY,
@@ -124,7 +124,7 @@ class TestAgainstLiveServer:
         self, snc4_flat_config, capability
     ):
         registry = ArtifactRegistry(persist=False)
-        registry.preload(snc4_flat_config, capability)
+        registry.preload(MachineRef(snc4_flat_config), capability)
         app = ServeApp(ServeConfig(), registry=registry)
 
         async def go():
@@ -155,9 +155,9 @@ class TestAgainstLiveServer:
 
         names = ["knl-7210", "knl-7250"]
         registry = ArtifactRegistry(persist=False)
-        registry.preload(snc4_flat_config, capability)
+        registry.preload(MachineRef(snc4_flat_config), capability)
         for name in names:
-            registry.preload_machine(get_machine(name), capability)
+            registry.preload(MachineRef.of(get_machine(name)), capability)
         app = ServeApp(ServeConfig(), registry=registry)
         bodies = [
             {**DEFAULT_PREDICT_BODY, "machine": name} for name in names
@@ -189,7 +189,7 @@ class TestAgainstLiveServer:
 
     def test_advise_endpoint_under_load(self, snc4_flat_config, capability):
         registry = ArtifactRegistry(persist=False)
-        registry.preload(snc4_flat_config, capability)
+        registry.preload(MachineRef(snc4_flat_config), capability)
         app = ServeApp(ServeConfig(), registry=registry)
 
         async def go():
@@ -330,9 +330,9 @@ class TestMachineFlags:
         from repro.serve.loadgen import default_body
 
         registry = ArtifactRegistry(persist=False)
-        registry.preload(snc4_flat_config, capability)
+        registry.preload(MachineRef(snc4_flat_config), capability)
         for rm in list_machines():
-            registry.preload_machine(rm, capability)
+            registry.preload(MachineRef.of(rm), capability)
         app = ServeApp(ServeConfig(), registry=registry)
         base = default_body("/v1/predict")
         bodies = [

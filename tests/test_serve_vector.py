@@ -23,7 +23,11 @@ from repro.machines import get_machine
 from repro.model.vector import compile_queries, predict_one
 from repro.obs import reset_metrics
 from repro.serve.app import ServeApp, ServeConfig, _PlanEntry
-from repro.serve.artifacts import ArtifactRegistry
+from repro.serve.artifacts import (
+    ArtifactRegistry,
+    MachineRef,
+    config_from_json,
+)
 from repro.serve.protocol import ClientConnection, http_request
 
 
@@ -33,9 +37,9 @@ def run(coro):
 
 def make_registry(snc4_flat_config, capability, machines=()):
     registry = ArtifactRegistry(persist=False)
-    registry.preload(snc4_flat_config, capability)
+    registry.preload(MachineRef(snc4_flat_config), capability)
     for name in machines:
-        registry.preload_machine(get_machine(name), capability)
+        registry.preload(MachineRef.of(get_machine(name)), capability)
     return registry
 
 
@@ -339,6 +343,7 @@ class TestPlanCache:
             entry = app._plan_compile(
                 f"ck-{i}",
                 {"queries": [{"metric": "contention", "n": i + 1}]},
+                app.ref_for(None, None),
             )
             assert entry is not None
         assert len(app._plan_cache) == _PLAN_CACHE_SIZE
@@ -351,7 +356,9 @@ class TestPlanCache:
     ):
         app = make_app(snc4_flat_config, capability)
         with pytest.raises(ModelError, match="non-empty 'queries' list"):
-            app._plan_compile("bad", {"queries": "nope"})
+            app._plan_compile(
+                "bad", {"queries": "nope"}, app.ref_for(None, None)
+            )
         assert app._plan_hit("bad") is None
 
     def test_render_cache_reused_across_batches(
@@ -383,7 +390,7 @@ class TestRenderTemplate:
             {"metric": "contention", "n": 33},
         ]
         plan = compile_queries(queries)
-        entry = _PlanEntry(plan, "knl-7210", None)
+        entry = _PlanEntry(plan, MachineRef.of(get_machine("knl-7210")))
         from repro.model.vector import evaluate_plan_values
 
         (values,) = evaluate_plan_values(capability, [plan])
@@ -399,7 +406,9 @@ class TestRenderTemplate:
 
     def test_render_without_machine_field(self, capability):
         plan = compile_queries([{"metric": "contention", "n": 2}])
-        entry = _PlanEntry(plan, None, {"memory_mode": "flat"})
+        entry = _PlanEntry(
+            plan, MachineRef(config_from_json({"memory_mode": "flat"}))
+        )
         from repro.model.vector import evaluate_plan_values
 
         (values,) = evaluate_plan_values(capability, [plan])
@@ -416,7 +425,7 @@ class TestRenderTemplate:
         plan = compile_queries(
             [{"metric": "contention", "n": n} for n in (2, 3, 4, 5)]
         )
-        entry = _PlanEntry(plan, None, None)
+        entry = _PlanEntry(plan, MachineRef(config_from_json(None)))
         values = np.array([float("nan"), float("inf"), -float("inf"), 0.1])
         rendered = entry.render(capability.config_label, None, values)
         payload = {

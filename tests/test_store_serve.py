@@ -14,7 +14,7 @@ import pytest
 
 from repro.obs import reset_metrics
 from repro.serve.app import ServeApp, ServeConfig
-from repro.serve.artifacts import ArtifactRegistry
+from repro.serve.artifacts import ArtifactRegistry, MachineRef
 from repro.serve.protocol import ClientConnection, content_key, http_request
 from repro.serve.router import VersionRing
 
@@ -50,7 +50,7 @@ def variant_payload(capability, delta):
 @pytest.fixture()
 def registry(tmp_path, snc4_flat_config, capability):
     registry = ArtifactRegistry(directory=str(tmp_path), persist=True)
-    registry.preload(snc4_flat_config, capability, persist=True)
+    registry.preload(MachineRef(snc4_flat_config), capability, persist=True)
     return registry
 
 
@@ -81,7 +81,7 @@ class TestHotSwap:
     ):
         """Publish v2 behind the running server's back; the reload
         endpoint swaps it in without a restart."""
-        slot = registry.key_for(snc4_flat_config)
+        slot = registry.key_for(MachineRef(snc4_flat_config))
         v2_payload = variant_payload(capability, 1.0)
 
         async def client(host, port):
@@ -106,7 +106,7 @@ class TestHotSwap:
         """The acceptance bound: after publish → reload → rollback →
         reload, ``/v1/predict`` responses are byte-identical to the
         pre-publish baseline."""
-        slot = registry.key_for(snc4_flat_config)
+        slot = registry.key_for(MachineRef(snc4_flat_config))
         raw = json.dumps(PREDICT_BODY).encode()
 
         async def client(host, port):
@@ -140,7 +140,7 @@ class TestHotSwap:
     ):
         """Identical payload → same version id → reload reports the
         slot untouched and responses stay byte-identical."""
-        slot = registry.key_for(snc4_flat_config)
+        slot = registry.key_for(MachineRef(snc4_flat_config))
         raw = json.dumps(PREDICT_BODY).encode()
 
         async def client(host, port):
@@ -183,7 +183,7 @@ class TestCanaryRouting:
     ):
         """Every body lands on the version :class:`VersionRing` says it
         should — not a statistical split, an exact per-key match."""
-        slot = registry.key_for(snc4_flat_config)
+        slot = registry.key_for(MachineRef(snc4_flat_config))
         registry.store.publish(
             slot,
             variant_payload(capability, 1.0),
@@ -217,8 +217,8 @@ class TestCanaryRouting:
         """A canary that cannot load serves stable, never a 500 — a bad
         canary must not take down the slot."""
         seeder = ArtifactRegistry(directory=str(tmp_path), persist=True)
-        seeder.preload(snc4_flat_config, capability, persist=True)
-        slot = seeder.key_for(snc4_flat_config)
+        seeder.preload(MachineRef(snc4_flat_config), capability, persist=True)
+        slot = seeder.key_for(MachineRef(snc4_flat_config))
         rec = seeder.store.publish(
             slot,
             variant_payload(capability, 1.0),
@@ -231,7 +231,9 @@ class TestCanaryRouting:
         with open(path, "w") as fh:
             fh.write("{torn write")
         registry = ArtifactRegistry(directory=str(tmp_path), persist=True)
-        registry.preload(snc4_flat_config, capability, persist=False)
+        registry.preload(
+            MachineRef(snc4_flat_config), capability, persist=False
+        )
 
         async def client(host, port):
             return [
@@ -248,7 +250,7 @@ class TestCanaryRouting:
         # Version ids repeat across tests (same payload, same slot), so
         # the process-global counters would otherwise accumulate.
         reset_metrics()
-        slot = registry.key_for(snc4_flat_config)
+        slot = registry.key_for(MachineRef(snc4_flat_config))
         rec = registry.store.publish(
             slot,
             variant_payload(capability, 1.0),
@@ -288,11 +290,11 @@ class TestColdStart:
         """A fresh process with an empty warm set resolves the slot from
         the store — no fit on the request path."""
         seeder = ArtifactRegistry(directory=str(tmp_path), persist=True)
-        seeder.preload(snc4_flat_config, capability, persist=True)
+        seeder.preload(MachineRef(snc4_flat_config), capability, persist=True)
         cold = ArtifactRegistry(directory=str(tmp_path), persist=True)
-        artifact = run(cold.get(snc4_flat_config))
+        artifact = run(cold.get(MachineRef(snc4_flat_config)))
         assert artifact.source == "store"
         assert artifact.capability.RL == pytest.approx(capability.RL)
         assert artifact.version == seeder.active_version(
-            seeder.key_for(snc4_flat_config)
+            seeder.key_for(MachineRef(snc4_flat_config))
         )
