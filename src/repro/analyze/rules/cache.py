@@ -38,11 +38,10 @@ class AdHocLRURule(Rule):
     rationale = (
         "an OrderedDict driven by move_to_end()/popitem(last=False) is "
         "a hand-rolled LRU — the pattern repro.cache.LRUCache "
-        "centralizes with thread safety, byte/count caps, and uniform "
+        "centralizes with thread safety, a count cap, and uniform "
         "cache.* metrics.  The bespoke copies this subsystem replaced "
         "had each grown their own eviction and locking bugs; new ones "
-        "will too.  Build on repro.cache (LRUCache / DiskTier / "
-        "TieredCache) instead."
+        "will too.  Build on repro.cache (LRUCache / DiskTier) instead."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -61,7 +60,7 @@ class AdHocLRURule(Rule):
             yield self.finding(
                 ctx, node,
                 f".{attr}() drives an ad-hoc LRU here — use "
-                "repro.cache.LRUCache (or TieredCache) instead of a "
+                "repro.cache.LRUCache instead of a "
                 "hand-rolled OrderedDict cache",
             )
 

@@ -67,8 +67,8 @@ def stream_once(
         working_set_bytes=pool_bytes,
         noisy=noisy,
     )
-    total_bytes = bytes_per_thread * n_threads
-    return total_bytes / float(times.max())
+    moved_bytes = bytes_per_thread * n_threads
+    return moved_bytes / float(times.max())
 
 
 def stream_bandwidth(

@@ -1,4 +1,4 @@
-"""repro.cache — the one tiered cache subsystem.
+"""repro.cache — the one cache subsystem.
 
 Every cache in the workbench (runtime results, characterization
 bundles, serve artifacts and compiled plans, batcher dedup, the
@@ -11,8 +11,7 @@ the same four primitives instead of carrying its own copy:
   with batched atime writes (``cache.index.writes`` counts flushes);
 * :mod:`repro.cache.lru` / :mod:`repro.cache.disk` — the in-process
   and on-disk tiers, with uniform ``cache.<tier>.*`` metrics;
-* :mod:`repro.cache.singleflight` — thread and asyncio single-flight;
-* :mod:`repro.cache.tiered` — the memory-over-disk composition.
+* :mod:`repro.cache.singleflight` — asyncio single-flight.
 
 See ``docs/CACHING.md`` for the architecture and the invalidation
 contract.
@@ -28,8 +27,7 @@ from repro.cache.keys import (
 from repro.cache.index import CacheIndex, FileLock, INDEX_NAME
 from repro.cache.lru import LRUCache
 from repro.cache.disk import DiskTier
-from repro.cache.singleflight import AsyncSingleFlight, SingleFlight
-from repro.cache.tiered import TieredCache
+from repro.cache.singleflight import AsyncSingleFlight
 
 __all__ = [
     "AsyncSingleFlight",
@@ -38,8 +36,6 @@ __all__ = [
     "FileLock",
     "INDEX_NAME",
     "LRUCache",
-    "SingleFlight",
-    "TieredCache",
     "atomic_write",
     "cache_key",
     "content_key",

@@ -157,20 +157,7 @@ class DiskTier:
             self._count("evictions", len(evicted))
         return len(evicted)
 
-    # -- invalidation ------------------------------------------------------
-
-    def remove(self, key: str) -> bool:
-        """Drop one entry (blob now, index bookkeeping at next evict)."""
-        if self.index is not None:
-            self.index.forget(key)
-        try:
-            os.unlink(self.path(key))
-        except OSError:
-            return False
-        self._count("invalidated")
-        return True
-
-    # -- introspection / lifecycle -----------------------------------------
+    # -- introspection -----------------------------------------------------
 
     def keys(self) -> Tuple[str, ...]:
         return tuple(sorted(self._scan()))
@@ -179,6 +166,3 @@ class DiskTier:
         """Write any buffered atime touches to the index."""
         if self.index is not None:
             self.index.flush()
-
-    def close(self) -> None:
-        self.flush()

@@ -4,7 +4,7 @@ Every bespoke LRU this subsystem replaced (the serve plan cache, the
 rendered-response skeletons, the result-cache index ordering) carried
 its own ``move_to_end`` / ``popitem(last=False)`` dance and its own
 half of the metrics vocabulary.  :class:`LRUCache` centralizes it:
-thread-safe, count- and/or byte-capped, with uniform
+thread-safe, count-capped, with uniform
 ``cache.<tier>.*`` counters and gauges keyed by the tier ``name``.
 CACHE001 flags any new ad-hoc OrderedDict LRU outside this package.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.obs import counter, gauge
 
@@ -21,33 +21,23 @@ from repro.obs import counter, gauge
 class LRUCache:
     """Thread-safe LRU over arbitrary values.
 
-    ``max_entries`` caps the entry count, ``max_bytes`` caps the sum of
-    the per-entry ``size`` passed to :meth:`put`; either (or both, or
-    neither — an unbounded recency map) may be set.  Metrics:
-    ``cache.<name>.hits`` / ``.misses`` / ``.writes`` / ``.evictions``
-    / ``.invalidated`` counters and ``cache.<name>.entries`` /
-    ``.bytes`` gauges.
+    ``max_entries`` caps the entry count (None: an unbounded recency
+    map).  Metrics: ``cache.<name>.hits`` / ``.misses`` / ``.writes`` /
+    ``.evictions`` / ``.invalidated`` counters and the
+    ``cache.<name>.entries`` gauge.
     """
 
-    def __init__(
-        self,
-        name: str,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, name: str, max_entries: Optional[int] = None) -> None:
         self.name = name
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self._mu = threading.Lock()
-        self._entries: "OrderedDict[Any, Tuple[Any, int]]" = OrderedDict()
-        self._bytes = 0
+        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
 
     def _count(self, event: str, n: int = 1) -> None:
         counter(f"cache.{self.name}.{event}").inc(n)
 
-    def _update_gauges(self) -> None:
+    def _update_gauge(self) -> None:
         gauge(f"cache.{self.name}.entries").set(len(self._entries))
-        gauge(f"cache.{self.name}.bytes").set(self._bytes)
 
     # -- get/put -----------------------------------------------------------
 
@@ -60,55 +50,29 @@ class LRUCache:
             self._count("misses")
             return None
         self._count("hits")
-        return hit[0]
+        return hit
 
-    def put(self, key: Any, value: Any, size: int = 0) -> None:
+    def put(self, key: Any, value: Any) -> None:
         with self._mu:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old[1]
-            self._entries[key] = (value, size)
-            self._bytes += size
-            evicted = self._evict_locked()
-            self._update_gauges()
+            self._entries.pop(key, None)
+            self._entries[key] = value
+            evicted = 0
+            while (self.max_entries is not None
+                   and len(self._entries) > self.max_entries):
+                self._entries.popitem(last=False)
+                evicted += 1
+            self._update_gauge()
         self._count("writes")
         if evicted:
             self._count("evictions", evicted)
 
-    def _evict_locked(self) -> int:
-        evicted = 0
-        while self._entries and (
-            (self.max_entries is not None
-             and len(self._entries) > self.max_entries)
-            or (self.max_bytes is not None and self._bytes > self.max_bytes)
-        ):
-            _, (_, size) = self._entries.popitem(last=False)
-            self._bytes -= size
-            evicted += 1
-        return evicted
-
-    # -- invalidation ------------------------------------------------------
-
     def invalidate(self, key: Any) -> bool:
         with self._mu:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old[1]
-            self._update_gauges()
-        if old is None:
-            return False
-        self._count("invalidated")
-        return True
-
-    def clear(self) -> int:
-        with self._mu:
-            n = len(self._entries)
-            self._entries.clear()
-            self._bytes = 0
-            self._update_gauges()
-        if n:
-            self._count("invalidated", n)
-        return n
+            found = self._entries.pop(key, None) is not None
+            self._update_gauge()
+        if found:
+            self._count("invalidated")
+        return found
 
     # -- introspection -----------------------------------------------------
 
@@ -117,20 +81,6 @@ class LRUCache:
         with self._mu:
             return tuple(self._entries)
 
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        with self._mu:
-            snapshot = [(k, v) for k, (v, _) in self._entries.items()]
-        return iter(snapshot)
-
     def __len__(self) -> int:
         with self._mu:
             return len(self._entries)
-
-    def __contains__(self, key: Any) -> bool:
-        with self._mu:
-            return key in self._entries
-
-    @property
-    def total_bytes(self) -> int:
-        with self._mu:
-            return self._bytes

@@ -1,17 +1,12 @@
 """Single-flight: concurrent requests for one key share one execution.
 
-Two variants for the two concurrency worlds in the tree:
-
-* :class:`SingleFlight` — threads.  The first caller for a key becomes
-  the leader and runs the factory; callers arriving before it finishes
-  block on an event and receive the leader's result (or exception)
-  without re-running the work.
-* :class:`AsyncSingleFlight` — asyncio.  Used by the serve artifact
-  registry (``do``: leader/joiner around an async loader) and the
-  micro-batcher (``share``/``get``/``release``: the batcher publishes
-  the future for an in-flight batch so identical requests attach to
-  it).  Joiners await a :func:`asyncio.shield` of the shared future so
-  one cancelled joiner does not cancel the flight for everyone else.
+:class:`AsyncSingleFlight` works on one asyncio event loop.  The serve
+artifact registry uses ``do``, the leader/joiner protocol around an
+async loader.  The micro-batcher uses ``share``/``get``/``release``: it
+publishes the future for an in-flight batch so identical requests
+attach to it.  Joiners await a :func:`asyncio.shield` of the shared
+future so one cancelled joiner does not cancel the flight for everyone
+else.
 
 Every join increments ``cache.singleflight.joined``.
 """
@@ -19,53 +14,9 @@ Every join increments ``cache.singleflight.joined``.
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Any, Awaitable, Callable, Dict, Optional
 
 from repro.obs import counter
-
-
-class _Flight:
-    __slots__ = ("event", "result", "exc")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result: Any = None
-        self.exc: Optional[BaseException] = None
-
-
-class SingleFlight:
-    """Thread-world single-flight keyed by an arbitrary hashable."""
-
-    def __init__(self) -> None:
-        self._mu = threading.Lock()
-        self._flights: Dict[Any, _Flight] = {}
-
-    def do(self, key: Any, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` once per key among concurrent callers; everyone
-        gets the leader's result (or its exception re-raised)."""
-        with self._mu:
-            flight = self._flights.get(key)
-            leader = flight is None
-            if leader:
-                flight = _Flight()
-                self._flights[key] = flight
-        if not leader:
-            counter("cache.singleflight.joined").inc()
-            flight.event.wait()
-            if flight.exc is not None:
-                raise flight.exc
-            return flight.result
-        try:
-            flight.result = fn()
-            return flight.result
-        except BaseException as exc:
-            flight.exc = exc
-            raise
-        finally:
-            with self._mu:
-                del self._flights[key]
-            flight.event.set()
 
 
 class AsyncSingleFlight:

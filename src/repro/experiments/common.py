@@ -10,7 +10,7 @@ bands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.machine.config import ClusterMode, MachineConfig, MemoryMode
 
@@ -38,21 +38,37 @@ class ExperimentResult:
 
     # -- rendering ---------------------------------------------------------
 
+    def to_dict(self) -> Dict[str, object]:
+        """The JSON shape shared by ``--json``, ``--save-dir`` archives
+        and the runtime result cache."""
+        return {
+            "exp_id": self.exp_id,
+            "title": self.title,
+            "columns": list(self.columns),
+            "rows": self.rows,
+            "notes": self.notes,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentResult":
+        """Inverse of :meth:`to_dict`.  A malformed ``data`` raises
+        KeyError or TypeError."""
+        result = cls(
+            exp_id=data["exp_id"],
+            title=data["title"],
+            columns=tuple(data["columns"]),
+        )
+        for row in data["rows"]:
+            result.add(**row)
+        for note in data.get("notes", []):
+            result.note(note)
+        return result
+
     def to_json(self) -> str:
         """Machine-readable form (for harnesses piping `--json`)."""
         import json
 
-        return json.dumps(
-            {
-                "exp_id": self.exp_id,
-                "title": self.title,
-                "columns": list(self.columns),
-                "rows": self.rows,
-                "notes": self.notes,
-            },
-            indent=2,
-            default=str,
-        )
+        return json.dumps(self.to_dict(), indent=2, default=str)
 
     def to_text(self) -> str:
         cols = list(self.columns)

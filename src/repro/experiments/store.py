@@ -44,17 +44,7 @@ class ResultStore:
                 f"no stored result for {exp_id!r} in {self.directory}"
             )
         with open(path) as fh:
-            data = json.load(fh)
-        result = ExperimentResult(
-            exp_id=data["exp_id"],
-            title=data["title"],
-            columns=tuple(data["columns"]),
-        )
-        for row in data["rows"]:
-            result.add(**row)
-        for note in data.get("notes", []):
-            result.note(note)
-        return result
+            return ExperimentResult.from_dict(json.load(fh))
 
     def ids(self) -> List[str]:
         return sorted(

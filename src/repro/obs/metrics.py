@@ -145,7 +145,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: Dict[str, Any] = {}
 
-    def _get_or_create(self, name: str, cls, unit: str):
+    def _register(self, name: str, cls, unit: str):
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
@@ -159,13 +159,13 @@ class MetricsRegistry:
             return metric
 
     def counter(self, name: str, unit: str = "") -> Counter:
-        return self._get_or_create(name, Counter, unit)
+        return self._register(name, Counter, unit)
 
     def gauge(self, name: str, unit: str = "") -> Gauge:
-        return self._get_or_create(name, Gauge, unit)
+        return self._register(name, Gauge, unit)
 
     def histogram(self, name: str, unit: str = "") -> Histogram:
-        return self._get_or_create(name, Histogram, unit)
+        return self._register(name, Histogram, unit)
 
     def names(self) -> List[str]:
         with self._lock:

@@ -1,7 +1,7 @@
 """Content-addressed on-disk caches for the execution engine.
 
-Two caches with different lifetimes and formats, both thin encodings
-over :class:`repro.cache.TieredCache` (which owns storage, the
+Two caches with different lifetimes and formats, each a thin encoding
+over one :class:`repro.cache.DiskTier` (which owns storage, the
 file-locked LRU index, eviction, and the ``cache.*`` metrics — see
 ``docs/CACHING.md``):
 
@@ -17,10 +17,13 @@ file-locked LRU index, eviction, and the ``cache.*`` metrics — see
   worker processes.  Written only during the scheduler's warm-up phase
   so the hit/miss pattern of a run never depends on task ordering.
 
+Each key is looked up about once per run, so neither cache keeps an
+in-process memory tier: a hit reads the blob straight from disk.
+
 Keys include the package version: bumping ``repro.__version__``
 invalidates everything (the model/benchmarks may have changed).
 
-The key/fingerprint primitives (``cache_key`` and friends) moved to
+The key/fingerprint primitives (``cache_key`` and friends) live in
 :mod:`repro.cache.keys`; they are re-exported here unchanged so every
 historical import path — and the golden key digests — keep working.
 """
@@ -33,7 +36,7 @@ import pickle
 from typing import Any, Dict, Optional, Tuple
 
 from repro._version import __version__
-from repro.cache import TieredCache
+from repro.cache import DiskTier
 from repro.cache.keys import (  # noqa: F401 - re-exported, see docstring
     atomic_write,
     cache_key,
@@ -41,16 +44,12 @@ from repro.cache.keys import (  # noqa: F401 - re-exported, see docstring
     default_cache_dir,
     fingerprint,
 )
-from repro.cache.index import INDEX_NAME as _INDEX  # noqa: F401
 from repro.experiments.common import ExperimentResult
 from repro.obs import counter, span
 from repro.runtime.task import CharacterizationNeed
 
 #: Default LRU cap for the result cache (bytes).
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
-
-#: Backward-compatible alias (pre-store internal name).
-_atomic_write = atomic_write
 
 
 class ResultCache:
@@ -59,16 +58,12 @@ class ResultCache:
     def __init__(
         self, directory: str, max_bytes: int = DEFAULT_MAX_BYTES
     ) -> None:
-        self._tier = TieredCache(
+        self._tier = DiskTier(
             os.path.join(directory, "results"),
-            name="result",
+            name="result.disk",
             suffix=".json",
             max_bytes=max_bytes,
-            memory_entries=32,
         )
-        self.max_bytes = max_bytes
-        self.hits = 0
-        self.misses = 0
 
     @property
     def directory(self) -> str:
@@ -91,39 +86,24 @@ class ResultCache:
             default_config=default_config(),
         )
 
-    def _path(self, key: str) -> str:
-        return self._tier.disk.path(key)
-
     # -- get/put -----------------------------------------------------------
 
     def get(self, key: str) -> Optional[ExperimentResult]:
+        """The cached result for ``key``, or None.  A blob that does not
+        decode to a result (bad JSON, wrong shape) is a miss."""
         with span("cache.result.get", category="cache") as sp:
-            result = self._get(key)
+            result = None
+            blob = self._tier.get(key)
+            if blob is not None:
+                try:
+                    result = ExperimentResult.from_dict(
+                        json.loads(blob)["result"]
+                    )
+                except (ValueError, KeyError, TypeError):
+                    pass
             sp.set(outcome="hit" if result is not None else "miss")
         name = "hits" if result is not None else "misses"
         counter(f"runtime.cache.result.{name}").inc()
-        return result
-
-    def _get(self, key: str) -> Optional[ExperimentResult]:
-        blob = self._tier.get(key)
-        if blob is None:
-            self.misses += 1
-            return None
-        try:
-            data = json.loads(blob)["result"]
-        except (ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        result = ExperimentResult(
-            exp_id=data["exp_id"],
-            title=data["title"],
-            columns=tuple(data["columns"]),
-        )
-        for row in data["rows"]:
-            result.add(**row)
-        for note in data.get("notes", []):
-            result.note(note)
-        self.hits += 1
         return result
 
     def put(self, key: str, result: ExperimentResult,
@@ -133,13 +113,7 @@ class ResultCache:
             "key": key,
             "meta": dict(meta or {}, version=__version__),
             # Same shape as experiments/store.py archives.
-            "result": {
-                "exp_id": result.exp_id,
-                "title": result.title,
-                "columns": list(result.columns),
-                "rows": result.rows,
-                "notes": result.notes,
-            },
+            "result": result.to_dict(),
         }
         blob = json.dumps(payload, indent=2, default=str).encode()
         return self._tier.put(key, blob)
@@ -165,14 +139,12 @@ class CharacterizationCache:
     """
 
     def __init__(self, directory: str, read_only: bool = False) -> None:
-        self._tier = TieredCache(
+        self._tier = DiskTier(
             os.path.join(directory, "char"),
-            name="char",
+            name="char.disk",
             suffix=".pkl",
         )
         self.read_only = read_only
-        self.hits = 0
-        self.misses = 0
 
     @property
     def directory(self) -> str:
@@ -216,28 +188,32 @@ class CharacterizationCache:
         )
         return CharacterizationCache.key_for_need(need)
 
-    def _path(self, key: str) -> str:
-        return self._tier.disk.path(key)
-
     def has(self, key: str) -> bool:
-        return os.path.exists(self._path(key))
+        return os.path.exists(self._tier.path(key))
 
     def get(self, key: str):
+        """The cached bundle for ``key``, or None.  A blob that fails to
+        unpickle, or unpickles to anything but a Characterization, is a
+        miss."""
+        from repro.bench.suite import Characterization
+
         with span("cache.char.get", category="cache") as sp:
-            blob = self._tier.get(key)
             bundle = None
+            blob = self._tier.get(key)
             if blob is not None:
+                # Besides UnpicklingError, the pickle docs name EOFError,
+                # ImportError, AttributeError and IndexError; a reduce
+                # call on bad arguments raises ValueError or TypeError.
                 try:
                     bundle = pickle.loads(blob)
-                except (pickle.UnpicklingError, EOFError, ValueError):
+                except (pickle.UnpicklingError, EOFError, ImportError,
+                        AttributeError, IndexError, ValueError, TypeError):
+                    pass
+                if not isinstance(bundle, Characterization):
                     bundle = None
             sp.set(outcome="hit" if bundle is not None else "miss")
-        if bundle is None:
-            self.misses += 1
-            counter("runtime.cache.char.misses").inc()
-            return None
-        self.hits += 1
-        counter("runtime.cache.char.hits").inc()
+        name = "hits" if bundle is not None else "misses"
+        counter(f"runtime.cache.char.{name}").inc()
         return bundle
 
     def put(self, key: str, bundle) -> None:

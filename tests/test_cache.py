@@ -1,12 +1,11 @@
-"""The unified tiered cache subsystem (`repro.cache`).
+"""The unified cache subsystem (`repro.cache`).
 
 Covers the contracts the ported layers rely on: LRU eviction-order
 goldens, the batched-atime index (a warm hit performs zero index
 writes — assertable via ``cache.index.writes``), corrupt-index and
-ghost/orphan reconciliation, single-flight fill counting under a
-``threading.Barrier``, the multiprocessing lost-update regression the
-old ResultCache index suffered from, and byte-identity of serve
-responses cold vs warm.
+ghost/orphan reconciliation, asyncio single-flight, the
+multiprocessing lost-update regression the old ResultCache index
+suffered from, and byte-identity of serve responses cold vs warm.
 """
 
 import asyncio
@@ -23,8 +22,6 @@ from repro.cache import (
     FileLock,
     INDEX_NAME,
     LRUCache,
-    SingleFlight,
-    TieredCache,
 )
 from repro.obs import counter
 
@@ -51,34 +48,20 @@ class TestLRUCache:
         lru.put("c", 3)
         assert lru.keys() == ("a", "c")
 
-    def test_byte_cap_evicts_until_under(self):
-        lru = LRUCache("t.bytes", max_bytes=250)
-        lru.put("a", "A", size=100)
-        lru.put("b", "B", size=100)
-        lru.put("c", "C", size=100)  # 300 bytes: a must go
-        assert lru.keys() == ("b", "c")
-        assert lru.total_bytes == 200
-        lru.put("d", "D", size=220)  # only d fits
-        assert lru.keys() == ("d",)
-        assert lru.total_bytes == 220
-
-    def test_overwrite_replaces_size_not_duplicates(self):
-        lru = LRUCache("t.replace", max_bytes=300)
-        lru.put("a", "A", size=100)
-        lru.put("a", "A2", size=150)
+    def test_overwrite_replaces_not_duplicates(self):
+        lru = LRUCache("t.replace", max_entries=2)
+        lru.put("a", "A")
+        lru.put("a", "A2")
         assert len(lru) == 1
-        assert lru.total_bytes == 150
         assert lru.get("a") == "A2"
 
-    def test_invalidate_and_clear(self):
+    def test_invalidate(self):
         lru = LRUCache("t.inval")
-        lru.put("a", 1, size=10)
-        lru.put("b", 2, size=10)
+        lru.put("a", 1)
+        lru.put("b", 2)
         assert lru.invalidate("a") is True
         assert lru.invalidate("a") is False
-        assert lru.total_bytes == 10
-        assert lru.clear() == 1
-        assert len(lru) == 0 and lru.total_bytes == 0
+        assert lru.keys() == ("b",)
 
     def test_metrics_vocabulary(self):
         hits = counter("cache.t.metrics.hits").value
@@ -210,15 +193,6 @@ class TestDiskTier:
         tier.evict()
         assert sorted(index_doc(str(tmp_path))) == ["a"]
 
-    def test_remove_drops_blob_and_bookkeeping(self, tmp_path):
-        tier = DiskTier(str(tmp_path), name="t.rm", max_bytes=10_000)
-        tier.put("a", b"x")
-        assert tier.remove("a") is True
-        assert tier.remove("a") is False
-        assert tier.get("a") is None
-        tier.evict()
-        assert index_doc(str(tmp_path)) == {}
-
     def test_uncapped_tier_keeps_no_index(self, tmp_path):
         tier = DiskTier(str(tmp_path), name="t.uncapped")
         tier.put("k", b"payload")
@@ -228,98 +202,7 @@ class TestDiskTier:
         assert os.listdir(str(tmp_path)) == ["k.json"]
 
 
-class TestTieredCache:
-    def test_read_promotes_to_memory_byte_identical(self, tmp_path):
-        cache = TieredCache(str(tmp_path), name="t.promote",
-                            memory_entries=4)
-        cache.put("k", b"blob-bytes")
-        assert "k" not in cache.memory  # put is disk-only
-        first = cache.get("k")  # disk hit, promoted
-        assert "k" in cache.memory
-        assert cache.get("k") == first == b"blob-bytes"  # memory hit
-
-    def test_deleted_blob_is_a_miss(self, tmp_path):
-        cache = TieredCache(str(tmp_path), name="t.delmiss",
-                            memory_entries=4)
-        cache.put("k", b"payload")
-        os.unlink(cache.disk.path("k"))
-        assert cache.get("k") is None  # disk stayed the source of truth
-
-    def test_invalidate_clears_every_tier(self, tmp_path):
-        cache = TieredCache(str(tmp_path), name="t.inval",
-                            memory_entries=4)
-        cache.put("k", b"payload")
-        cache.get("k")
-        assert cache.invalidate("k") is True
-        assert "k" not in cache.memory
-        assert cache.get("k") is None
-
-    def test_get_or_create_runs_factory_once_under_barrier(self, tmp_path):
-        cache = TieredCache(str(tmp_path), name="t.flight")
-        workers = 8
-        barrier = threading.Barrier(workers)
-        calls = []
-        results = [None] * workers
-
-        def factory():
-            calls.append(1)
-            return b"computed-once"
-
-        def worker(i):
-            barrier.wait()
-            results[i] = cache.get_or_create("k", factory)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,))
-            for i in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(calls) == 1
-        assert results == [b"computed-once"] * workers
-
-
 class TestSingleFlight:
-    def test_leader_exception_reaches_joiners(self):
-        flights = SingleFlight()
-        barrier = threading.Barrier(2)
-        release = threading.Event()
-        outcomes = {}
-
-        def leader():
-            def boom():
-                barrier.wait()  # joiner is now queued behind this flight
-                release.wait()
-                raise RuntimeError("fit failed")
-
-            try:
-                flights.do("k", boom)
-            except RuntimeError as exc:
-                outcomes["leader"] = str(exc)
-
-        def joiner():
-            barrier.wait()
-            release.set()
-            try:
-                flights.do("k", lambda: b"never runs")
-            except RuntimeError as exc:
-                outcomes["joiner"] = str(exc)
-            else:
-                # Arriving after the flight retired is legal: the
-                # factory runs fresh and succeeds.
-                outcomes["joiner"] = "fresh"
-
-        threads = [threading.Thread(target=leader),
-                   threading.Thread(target=joiner)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert outcomes["leader"] == "fit failed"
-        assert outcomes["joiner"] in ("fit failed", "fresh")
-
     def test_async_do_shares_one_runner(self):
         flights = AsyncSingleFlight()
         runs = []
@@ -348,14 +231,14 @@ class TestMultiprocessStress:
     index entries.  The file-locked index must lose nothing."""
 
     def test_concurrent_writers_lose_no_updates(self, tmp_path):
-        from repro.cache.stress import stress_lost_updates
+        from tests.cache_stress import stress_lost_updates
 
         assert stress_lost_updates(
             str(tmp_path), procs=3, items=8, blob_size=128
         ) == []
 
     def test_churn_under_tight_cap_holds_invariants(self, tmp_path):
-        from repro.cache.stress import stress_churn
+        from tests.cache_stress import stress_churn
 
         assert stress_churn(
             str(tmp_path), procs=2, items=12, blob_size=256
@@ -366,7 +249,7 @@ class TestMultiprocessStress:
     )
     def test_both_phases_hold_at_ci_scale(self, tmp_path, phase):
         """Four writers, 25 keys each, 512-byte blobs."""
-        from repro.cache import stress
+        from tests import cache_stress as stress
 
         run_phase = getattr(stress, phase)
         assert run_phase(

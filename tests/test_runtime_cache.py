@@ -7,9 +7,15 @@ import pytest
 
 from repro._version import __version__
 from repro.bench import characterize
+from repro.bench.suite import Characterization
 from repro.experiments.common import ExperimentResult
 from repro.machine import ClusterMode, KNLMachine, MachineConfig, MemoryMode
-from repro.runtime import CharacterizationNeed
+from repro.runtime import (
+    CharacterizationNeed,
+    TaskStatus,
+    execute,
+    plan_run,
+)
 from repro.runtime.cache import (
     CharacterizationCache,
     ResultCache,
@@ -108,14 +114,42 @@ class TestResultCache:
         index = json.loads((tmp_path / "results" / "index.json").read_text())
         assert index[k1]["atime"] >= index[k2]["atime"]
 
+    #: Blobs a crash, a hand edit or an older writer could leave behind:
+    #: not JSON, JSON missing fields, and rows that are not objects.
+    BAD_BODIES = (
+        "{not json",
+        json.dumps({"result": {"exp_id": "x"}}),
+        json.dumps({"result": {"exp_id": "x", "title": "t",
+                               "columns": ["a"], "rows": [1]}}),
+    )
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         key = cache.key_for("x", {})
-        cache.put(key, _result())
         path = os.path.join(cache.directory, f"{key}.json")
-        with open(path, "w") as fh:
-            fh.write("{not json")
-        assert cache.get(key) is None
+        for body in self.BAD_BODIES:
+            cache.put(key, _result())
+            with open(path, "w") as fh:
+                fh.write(body)
+            assert cache.get(key) is None, body
+
+        # A run over a bad entry recomputes the experiment and
+        # overwrites the entry with a good one.
+        cache_dir = str(tmp_path / "run")
+        plan = dict(ids=["fig4"], kwargs={"iterations": 4},
+                    cache_dir=cache_dir, progress=False)
+        first = execute(plan_run(**plan)).outcome("fig4").result
+        (key,) = ResultCache(cache_dir).keys()
+        path = os.path.join(ResultCache(cache_dir).directory, f"{key}.json")
+        for body in self.BAD_BODIES:
+            with open(path, "w") as fh:
+                fh.write(body)
+            outcome = execute(plan_run(**plan)).outcome("fig4")
+            assert outcome.status is TaskStatus.DONE, body
+            assert outcome.cache == "miss"
+            again = ResultCache(cache_dir).get(key)
+            assert again is not None
+            assert again.to_json() == first.to_json()
 
 
 class TestCharacterizationCache:
@@ -168,6 +202,23 @@ class TestCharacterizationCache:
         machine = KNLMachine(self.CFG, seed=7)
         characterize(machine, iterations=5, cache=cache)
         assert os.listdir(cache.directory) == []
+
+    @pytest.mark.parametrize("blob", [
+        b"not a pickle",
+        b"cnonexistent_mod\nX\n.",  # unpickling imports a missing module
+        b"\x80\x05K\x01.",  # a valid pickle of the int 1
+    ], ids=["garbage", "missing-module", "not-a-bundle"])
+    def test_bad_bundle_is_a_miss(self, tmp_path, blob):
+        cache = CharacterizationCache(str(tmp_path))
+        machine = KNLMachine(self.CFG, seed=7)
+        key = cache.key_for_machine(machine, 5, None, (16, 64, 128, 256),
+                                    False)
+        with open(os.path.join(cache.directory, f"{key}.pkl"), "wb") as fh:
+            fh.write(blob)
+        assert cache.get(key) is None
+        bundle = characterize(machine, iterations=5, cache=cache)
+        assert isinstance(bundle, Characterization)
+        assert isinstance(cache.get(key), Characterization)
 
     def test_iterations_change_key(self, tmp_path):
         need5 = CharacterizationNeed(
@@ -231,3 +282,68 @@ class TestPublicCacheKey:
             config=MachineConfig(), machine_seed=7, iterations=5
         )
         assert CharacterizationCache.key_for_need(need) == cache_key(need=need)
+
+
+class TestResultCacheSchema:
+    """The on-disk result cache that existing users' state depends on.
+
+    ``tests/fixtures/result_cache`` is a cache directory written by
+    ``ResultCache.put`` + ``flush`` and committed as-is: one
+    ``results/<key>.json`` blob and its ``results/index.json``.  The
+    current code must read it, leave its index alone on a warm read,
+    and write the same blob bytes back.
+    """
+
+    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "result_cache")
+    KEY = "9c63aa6bbfbb4b91b308ca5a6719fdbf2bb6076da7c7ab99d829370880a627a4"
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path):
+        import shutil
+
+        target = tmp_path / "cache"
+        shutil.copytree(self.FIXTURE, target)
+        return target
+
+    def _blob_path(self, cache_dir):
+        return cache_dir / "results" / f"{self.KEY}.json"
+
+    def test_committed_entry_reads_as_a_hit(self, cache_dir):
+        committed = json.loads(self._blob_path(cache_dir).read_bytes())
+        hit = ResultCache(str(cache_dir)).get(self.KEY)
+        assert hit is not None
+        assert hit.to_json() == json.dumps(committed["result"], indent=2)
+
+    def test_warm_read_writes_no_index_until_flush(self, cache_dir):
+        from repro.obs import counter
+
+        index_path = cache_dir / "results" / "index.json"
+        before = index_path.read_bytes()
+        writes = counter("cache.index.writes").value
+        cache = ResultCache(str(cache_dir))
+        assert cache.get(self.KEY) is not None
+        assert index_path.read_bytes() == before
+        assert counter("cache.index.writes").value == writes
+        cache.flush()
+        assert counter("cache.index.writes").value == writes + 1
+        index = json.loads(index_path.read_bytes())
+        old = json.loads(before)
+        assert set(index) == {self.KEY}
+        assert index[self.KEY]["size"] == old[self.KEY]["size"]
+        assert index[self.KEY]["atime"] >= old[self.KEY]["atime"]
+
+    def test_reput_writes_byte_identical_blob(self, cache_dir, monkeypatch):
+        blob_path = self._blob_path(cache_dir)
+        committed = blob_path.read_bytes()
+        meta = json.loads(committed)["meta"]
+        # The blob records the writer's version; pin it so the check
+        # is about the encoding, not about the version string.
+        import repro.runtime.cache as runtime_cache
+
+        monkeypatch.setattr(runtime_cache, "__version__", meta["version"])
+        cache = ResultCache(str(cache_dir))
+        hit = cache.get(self.KEY)
+        blob_path.unlink()
+        cache.put(self.KEY, hit, meta=meta)
+        assert blob_path.read_bytes() == committed
