@@ -142,9 +142,10 @@ def mpi_broadcast_programs(
         raise ModelError("no participants")
     tree = Tree.binomial(n)
     progs = [Program(t) for t in ranks]
+    parents = tree.parents()
     for node in tree.root.walk():
         p = progs[node.rank]
-        parent = tree.parent_of(node.rank)
+        parent = parents[node.rank]
         if parent is not None:
             p.poll_flag(f"{tag}/{parent}->{node.rank}", payload_bytes=payload_bytes)
             p.local_copy(payload_bytes)  # shm segment -> user buffer
@@ -166,9 +167,10 @@ def mpi_singlecopy_broadcast_programs(
         raise ModelError("no participants")
     tree = Tree.binomial(n)
     progs = [Program(t) for t in ranks]
+    parents = tree.parents()
     for node in tree.root.walk():
         p = progs[node.rank]
-        parent = tree.parent_of(node.rank)
+        parent = parents[node.rank]
         if parent is not None:
             p.poll_flag(f"{tag}/{parent}->{node.rank}", payload_bytes=payload_bytes)
         for child in node.children:
@@ -211,6 +213,7 @@ def mpi_reduce_programs(
     tree = Tree.binomial(n)
     progs = [Program(t) for t in ranks]
     compute_ns_per_line = 8.0
+    parents = tree.parents()
     for node in tree.root.walk():
         p = progs[node.rank]
         p.compute(payload_bytes, compute_ns_per_line)
@@ -218,7 +221,7 @@ def mpi_reduce_programs(
             p.poll_flag(f"{tag}/{child.rank}->{node.rank}", payload_bytes=payload_bytes)
             p.local_copy(payload_bytes)  # shm -> user
             p.compute(payload_bytes, compute_ns_per_line)
-        parent = tree.parent_of(node.rank)
+        parent = parents[node.rank]
         if parent is not None:
             p.delay(MPI_MSG_OVERHEAD_NS)
             p.local_copy(payload_bytes)

@@ -116,10 +116,11 @@ class BroadcastPlan:
             for m in g.members:
                 progs[m] = Program(m)
 
+        parents = tree.parents()
         for node in tree.root.walk():
             g = groups[node.rank]
             p = progs[g.leader]
-            parent = tree.parent_of(node.rank)
+            parent = parents[node.rank]
             if parent is None:
                 p.local_copy(payload)  # stage the payload
             else:

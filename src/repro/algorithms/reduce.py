@@ -114,6 +114,7 @@ class ReducePlan:
             for m in g.members:
                 progs[m] = Program(m)
 
+        parents = tree.parents()
         for node in tree.root.walk():
             g = groups[node.rank]
             p = progs[g.leader]
@@ -129,6 +130,6 @@ class ReducePlan:
             for child in node.children:
                 p.poll_flag(f"rd/{child.rank}", payload_bytes=payload)
                 p.compute(payload, cap_compute)
-            if tree.parent_of(node.rank) is not None:
+            if parents[node.rank] is not None:
                 p.write_flag(f"rd/{node.rank}")
         return list(progs.values())

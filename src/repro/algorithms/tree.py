@@ -61,14 +61,20 @@ class Tree:
                 return nd
         raise ModelError(f"rank {rank} not in tree")
 
-    def parent_of(self, rank: int) -> Optional[int]:
+    def parents(self) -> Dict[int, Optional[int]]:
+        """Every rank's parent (``None`` for the root), from one walk."""
+        out: Dict[int, Optional[int]] = {}
         for nd in self.root.walk():
             for c in nd.children:
-                if c.rank == rank:
-                    return nd.rank
-        if rank == self.root.rank:
-            return None
-        raise ModelError(f"rank {rank} not in tree")
+                out.setdefault(c.rank, nd.rank)
+        out.setdefault(self.root.rank, None)
+        return out
+
+    def parent_of(self, rank: int) -> Optional[int]:
+        parents = self.parents()
+        if rank not in parents:
+            raise ModelError(f"rank {rank} not in tree")
+        return parents[rank]
 
     def degrees(self) -> Dict[int, int]:
         return {nd.rank: nd.degree for nd in self.root.walk()}

@@ -17,7 +17,7 @@ from repro.bench.stats import BoxplotStats, MedianCI, boxplot_stats, median_ci
 from repro.errors import BenchmarkError
 from repro.machine.machine import KNLMachine
 from repro.obs import counter, span
-from repro.rng import SeedLike, generator, spawn
+from repro.rng import SeedLike, generator, label_hash, spawn
 
 #: Default iterations per benchmark.  The paper uses 1000; the simulated
 #: pipeline converges to the same medians much earlier, so the default
@@ -41,7 +41,8 @@ class BenchResult:
 
     @property
     def ci(self) -> MedianCI:
-        return median_ci(self.samples, seed=hash(self.name) & 0xFFFF)
+        # Seeded from the name, so the interval is the same in every process.
+        return median_ci(self.samples, seed=label_hash(self.name))
 
     @property
     def boxplot(self) -> BoxplotStats:

@@ -52,11 +52,36 @@ def stream_once(
     noisy: bool = True,
 ) -> float:
     """One iteration: returns achieved GB/s (total bytes / slowest thread)."""
+    cores_ht = _pinned_cores_ht(machine, op, n_threads, schedule)
+    return _stream_gbps(
+        machine, op, cores_ht, n_threads, kind, nt, tuned,
+        bytes_per_thread, pool_bytes, noisy,
+    )
+
+
+def _pinned_cores_ht(
+    machine: KNLMachine, op: str, n_threads: int, schedule: str
+) -> Dict[int, int]:
+    """Validate ``op`` and pin: core → threads streaming on it."""
     if op not in STREAM_OPS:
         raise BenchmarkError(f"unknown op {op!r}")
     topo = machine.topology
-    threads = pin_threads(topo, n_threads, schedule)
-    cores_ht = cores_ht_of(topo, threads)
+    return cores_ht_of(topo, pin_threads(topo, n_threads, schedule))
+
+
+def _stream_gbps(
+    machine: KNLMachine,
+    op: str,
+    cores_ht: Dict[int, int],
+    n_threads: int,
+    kind: MemoryKind,
+    nt: bool,
+    tuned: bool,
+    bytes_per_thread: int,
+    pool_bytes: int,
+    noisy: bool = True,
+) -> float:
+    """One iteration on an already pinned thread set."""
     times = machine.stream_iteration_ns(
         op,
         bytes_per_thread,
@@ -82,12 +107,17 @@ def stream_bandwidth(
     bytes_per_thread: int = DEFAULT_BYTES_PER_THREAD,
     pool_bytes: int = DEFAULT_POOL_BYTES,
 ) -> BenchResult:
-    """Median bandwidth of a stream kernel at one operating point."""
+    """Median bandwidth of a stream kernel at one operating point.
+
+    The threads are pinned once, before the first iteration, as the
+    paper's harness binds them once per run.
+    """
     m = runner.machine
+    cores_ht = _pinned_cores_ht(m, op, n_threads, schedule)
 
     def sample(rng: np.random.Generator) -> float:
-        return stream_once(
-            m, op, n_threads, schedule, kind, nt, tuned,
+        return _stream_gbps(
+            m, op, cores_ht, n_threads, kind, nt, tuned,
             bytes_per_thread, pool_bytes,
         )
 

@@ -38,13 +38,7 @@ class ClusterMode(enum.Enum):
     @property
     def n_clusters(self) -> int:
         """Number of affinity domains the mode partitions the die into."""
-        return {
-            ClusterMode.A2A: 1,
-            ClusterMode.HEMISPHERE: 2,
-            ClusterMode.QUADRANT: 4,
-            ClusterMode.SNC2: 2,
-            ClusterMode.SNC4: 4,
-        }[self]
+        return _N_CLUSTERS[self]
 
     @property
     def is_sub_numa(self) -> bool:
@@ -55,6 +49,15 @@ class ClusterMode(enum.Enum):
     def is_experimental(self) -> bool:
         """SNC2 was experimental on early KNL steppings (higher variance)."""
         return self is ClusterMode.SNC2
+
+
+_N_CLUSTERS = {
+    ClusterMode.A2A: 1,
+    ClusterMode.HEMISPHERE: 2,
+    ClusterMode.QUADRANT: 4,
+    ClusterMode.SNC2: 2,
+    ClusterMode.SNC4: 4,
+}
 
 
 class MemoryMode(enum.Enum):

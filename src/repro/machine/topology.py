@@ -98,6 +98,13 @@ class Topology:
         rng = spawn(generator(seed), "topology")
         self._tiles = self._choose_active_tiles(config, rng)
         self._slot_to_tile: Dict[int, Tile] = {t.slot: t for t in self._tiles}
+        # Sizes are fixed once the active tiles are chosen.
+        self._n_tiles = len(self._tiles)
+        self._n_cores = self._n_tiles * config.cores_per_tile
+        self._n_threads = self._n_cores * config.threads_per_core
+        #: Full pin order per schedule name, filled on first use by
+        #: :func:`repro.bench.schedules.pin_threads`.
+        self.pin_orders: Dict[str, Tuple[int, ...]] = {}
         # Dense lookup arrays for hot paths.
         self._tile_rows = np.array([t.row for t in self._tiles])
         self._tile_cols = np.array([t.col for t in self._tiles])
@@ -153,15 +160,15 @@ class Topology:
 
     @property
     def n_tiles(self) -> int:
-        return len(self._tiles)
+        return self._n_tiles
 
     @property
     def n_cores(self) -> int:
-        return self.n_tiles * self.config.cores_per_tile
+        return self._n_cores
 
     @property
     def n_threads(self) -> int:
-        return self.n_cores * self.config.threads_per_core
+        return self._n_threads
 
     @property
     def tiles(self) -> Sequence[Tile]:

@@ -40,12 +40,23 @@ def spawn(rng: np.random.Generator, label: str) -> np.random.Generator:
     The label participates in the derivation so that two children with
     different labels are decorrelated even if spawned in a different order.
     """
-    # Fold the label into a 64-bit value; combine with fresh entropy from rng.
-    h = np.uint64(1469598103934665603)
-    for ch in label.encode():
-        h = np.uint64((int(h) ^ ch) * 1099511628211 % (1 << 64))
+    # Combine fresh entropy from rng with the label's 64-bit fold.
     base = int(rng.integers(0, 2**63 - 1))
-    return np.random.default_rng(np.random.SeedSequence([base, int(h)]))
+    return np.random.default_rng(
+        np.random.SeedSequence([base, label_hash(label)])
+    )
+
+
+def label_hash(label: str) -> int:
+    """64-bit FNV-1a fold of ``label``.
+
+    Stable across processes, unlike the builtin ``hash`` of a ``str``
+    (randomized per process by ``PYTHONHASHSEED``).
+    """
+    h = 1469598103934665603
+    for ch in label.encode():
+        h = (h ^ ch) * 1099511628211 % (1 << 64)
+    return h
 
 
 def maybe_int_seed(seed: SeedLike) -> Optional[int]:

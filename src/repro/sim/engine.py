@@ -94,6 +94,10 @@ class Engine:
         if len(set(threads)) != len(threads):
             raise SimulationError("duplicate thread ids in program set")
         progs: Dict[int, Program] = {p.thread: p for p in programs}
+        # Each thread's core is fixed for the run: resolve (and range-
+        # check) it once, before any op is costed.
+        topo = self.machine.topology
+        cores: Dict[int, int] = {t: topo.core_of_thread(t) for t in threads}
         clock: Dict[int, float] = {t: 0.0 for t in threads}
         pc: Dict[int, int] = {t: 0 for t in threads}
         flags: Dict[str, _FlagState] = {}
@@ -122,7 +126,7 @@ class Engine:
                     st.waiters.append(t)
                     continue
                 arrival = clock[t]
-                clock[t] = self._serve_poll(st, op, t, arrival)
+                clock[t] = self._serve_poll(st, op, cores[t], arrival)
                 if self.record_trace:
                     events.append(TraceEvent(
                         t, pc[t], op, max(arrival, st.set_time), clock[t]
@@ -131,7 +135,7 @@ class Engine:
                 heapq.heappush(heap, (clock[t], next(counter), t))
                 continue
 
-            cost = self._op_cost(op, t)
+            cost = self._op_cost(op, cores[t])
             if self.record_trace:
                 events.append(TraceEvent(t, pc[t], op, clock[t], clock[t] + cost))
             clock[t] += cost
@@ -145,7 +149,7 @@ class Engine:
                 st.set_time = clock[t] + self.machine.flag_visibility_ns(
                     op.n_pollers, op.cold, noisy=self.noisy
                 )
-                st.writer_core = self._core(t)
+                st.writer_core = cores[t]
                 # Wake waiters in their arrival (clock) order.  A wide
                 # wake (broadcast fan-out) batches all waiters' noise
                 # draws through one array kernel; a single waiter takes
@@ -153,12 +157,14 @@ class Engine:
                 waking = sorted(st.waiters, key=lambda x: clock[x])
                 if len(waking) > 1:
                     finishes = self._serve_poll_batch(
-                        st, [(w, progs[w].ops[pc[w]], clock[w])
+                        st, [(cores[w], progs[w].ops[pc[w]], clock[w])
                              for w in waking]
                     )
                 else:
                     finishes = [
-                        self._serve_poll(st, progs[w].ops[pc[w]], w, clock[w])
+                        self._serve_poll(
+                            st, progs[w].ops[pc[w]], cores[w], clock[w]
+                        )
                         for w in waking
                     ]
                 for w, finish in zip(waking, finishes):
@@ -216,21 +222,17 @@ class Engine:
 
     # ------------------------------------------------------------------
 
-    def _core(self, thread: int) -> int:
-        return self.machine.topology.core_of_thread(thread)
-
     def _serve_poll(
-        self, st: _FlagState, op: PollFlag, thread: int, arrival: float
+        self, st: _FlagState, op: PollFlag, reader: int, arrival: float
     ) -> float:
         """Completion time of a poller's transfer (flag + payload).
 
         The first reader pays the plain cache-to-cache cost; readers whose
         transfer overlaps an in-flight one queue at β per reader, so N
         simultaneous pollers complete at ``set + α + iβ`` — the measured
-        T_C shape.
+        T_C shape.  ``reader`` is the poller's core.
         """
         m = self.machine
-        reader = self._core(thread)
         start = max(arrival, st.set_time)
         base = m.flag_read_ns(reader, st.writer_core, noisy=self.noisy)
         if op.payload_bytes > CACHE_LINE_BYTES:
@@ -257,16 +259,16 @@ class Engine:
         """Array-kernel twin of :meth:`_serve_poll` for a whole wake:
         per-waiter solo costs are drawn in one vectorized noise call,
         the contention-queue recurrence folds over the results
-        (:func:`repro.sim.kernels.flag_wake_finishes`)."""
+        (:func:`repro.sim.kernels.flag_wake_finishes`).  ``wakes`` holds
+        ``(reader core, poll op, arrival)`` per waiter."""
         from repro.sim.kernels import flag_wake_finishes
 
         m = self.machine
         starts: List[float] = []
         base_true: List[float] = []
         extra: List[float] = []
-        for thread, op, arrival in wakes:
+        for reader, op, arrival in wakes:
             assert isinstance(op, PollFlag)
-            reader = self._core(thread)
             starts.append(max(arrival, st.set_time))
             base_true.append(
                 m.line_transfer_true_ns(reader, MESIF.MODIFIED, st.writer_core)
@@ -284,9 +286,8 @@ class Engine:
         )
         return finishes
 
-    def _op_cost(self, op: Op, thread: int) -> float:
+    def _op_cost(self, op: Op, core: int) -> float:
         m = self.machine
-        core = self._core(thread)
         noisy = self.noisy
         if isinstance(op, Delay):
             return op.ns if not noisy else m.noise.jitter_only(op.ns)

@@ -89,3 +89,31 @@ class TestCharacterization:
     def test_sweeps_optional(self, machine):
         c = characterize(machine, iterations=10, seed=2, include_sweeps=True)
         assert "scatter/mcdram" in c.stream_sweeps
+
+
+class TestCiReproducible:
+    def test_same_interval_under_any_hash_seed(self):
+        """The bootstrap seed comes from the result's name, not from the
+        per-process ``str`` hash: two interpreters with different
+        ``PYTHONHASHSEED`` values print the same interval."""
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import numpy as np\n"
+            "from repro.bench import BenchResult\n"
+            "x = np.random.default_rng(3).uniform(0.0, 100.0, 50)\n"
+            "print(BenchResult('stream/triad/ddr/scatter/t64/nt', {}, x)"
+            ".describe())\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.abspath(src))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert "median=" in outputs[0]

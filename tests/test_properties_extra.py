@@ -61,6 +61,44 @@ class TestSerializationProperties:
         assert sorted(flat) == list(range(tree.n))
 
 
+def _k_ary(n, k):
+    """Child counts of the breadth-first k-ary tree over n ranks."""
+    return [max(0, min(k, n - 1 - k * i)) for i in range(n)]
+
+
+class TestTreeParentProperties:
+    @given(
+        n=st.integers(1, 80),
+        k=st.integers(1, 6),
+        shape=st.sampled_from(["binomial", "flat", "k_ary"]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_parents_agree_with_parent_of(self, n, k, shape, data):
+        root = data.draw(st.integers(0, n - 1))
+        if shape == "binomial":
+            tree = Tree.binomial(n, root=root)
+        elif shape == "flat":
+            tree = Tree.flat(n, root=root)
+        else:
+            tree = Tree.from_child_counts(_k_ary(n, k), root=root)
+        parents = tree.parents()
+        assert sorted(parents) == list(range(n))
+        for rank in range(n):
+            assert parents[rank] == tree.parent_of(rank)
+        assert parents[root] is None
+
+    @given(data=random_tree_dicts())
+    @settings(max_examples=40)
+    def test_parents_of_random_trees(self, data):
+        tree = tree_from_dict({"root": data})
+        parents = tree.parents()
+        for nd in tree.root.walk():
+            assert parents[nd.rank] == tree.parent_of(nd.rank)
+            for c in nd.children:
+                assert parents[c.rank] == nd.rank
+
+
 class TestScheduleProperties:
     @given(
         n=st.integers(1, 256),

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
-from repro.machine import MESIF
+from repro.errors import SimulationError, TopologyError
+from repro.machine import MESIF, KNLMachine
 from repro.sim import Engine, Program
 
 
@@ -30,6 +30,17 @@ class TestBasics:
     def test_empty_program_finishes_at_zero(self, engine):
         res = engine.run([Program(0)])
         assert res.finish_of(0) == 0.0
+
+    def test_out_of_range_thread_rejected_before_any_op(self, snc4_flat_config):
+        """Each thread's core is resolved before the run: a program bound
+        to a thread the machine lacks raises, even with no ops, and no
+        other thread's op is costed (no noise is drawn) first."""
+        m = KNLMachine(snc4_flat_config, seed=3)
+        eng = Engine(m, noisy=True)
+        before = m.noise.rng.bit_generator.state
+        with pytest.raises(TopologyError):
+            eng.run([Program(0).delay(100.0), Program(m.topology.n_threads)])
+        assert m.noise.rng.bit_generator.state == before
 
     def test_duplicate_threads_rejected(self, engine):
         with pytest.raises(SimulationError):
