@@ -26,10 +26,11 @@ def run_episodes(
 ) -> np.ndarray:
     """Makespan samples [ns] over ``iterations`` episodes.
 
-    Programs are rebuilt per episode (builders are cheap); noise comes
-    from the machine model, so each episode sees fresh jitter, different
-    poll winners, and occasional outliers — the spread in the paper's
-    boxplots.
+    Programs are rebuilt per episode.  A build is linear in the ranks,
+    but not free: at 64-256 ranks it is roughly a fifth of an episode,
+    the engine run the rest.  Noise comes from the machine model, so
+    each episode sees fresh jitter, different poll winners, and
+    occasional outliers — the spread in the paper's boxplots.
     """
     engine = Engine(machine, noisy=noisy)
     out = np.empty(iterations)

@@ -88,6 +88,11 @@ class TestCoresHt:
         ht = cores_ht_of(topo, threads)
         assert ht == {0: 4, 1: 4}
 
+    @pytest.mark.parametrize("bad", [-1, 256, 10_000])
+    def test_out_of_range_thread_raises(self, machine, bad):
+        with pytest.raises(TopologyError):
+            cores_ht_of(machine.topology, [0, bad])
+
 
 class TestPinOrderIsBuiltOnce:
     def test_returned_list_is_a_fresh_copy(self, machine):
@@ -125,15 +130,3 @@ class TestPinOrderIsBuiltOnce:
         for sched, order in expected.items():
             for n in (1, 5, 64, topo.n_threads):
                 assert pin_threads(topo, n, sched) == order[:n]
-
-
-class TestCoresHtBounds:
-    @pytest.mark.parametrize("bad", [-1, 256, 10_000])
-    def test_out_of_range_thread_raises(self, machine, bad):
-        with pytest.raises(TopologyError):
-            cores_ht_of(machine.topology, [0, bad])
-
-    def test_hyperthreads_fold_onto_their_core(self, machine):
-        topo = machine.topology
-        threads = [5, 5 + topo.n_cores, 5 + 3 * topo.n_cores, 6]
-        assert cores_ht_of(topo, threads) == {5: 3, 6: 1}
