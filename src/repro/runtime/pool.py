@@ -5,11 +5,18 @@ Execution proceeds in two phases:
 1. **Warm-up** — the declared :class:`CharacterizationNeed` bundles of
    all scheduled experiments are deduplicated and computed once each
    (in parallel), populating the shared on-disk characterization cache.
-2. **Fan-out** — experiments run across ``jobs`` worker processes; each
-   worker opens the characterization cache *read-only*, so the cache
-   hit/miss pattern — and therefore every RNG draw an experiment makes —
-   is a pure function of the declared needs, never of scheduling order.
-   That is what makes ``--jobs 8`` byte-identical to the serial path.
+2. **Fan-out** — experiments run with at most ``jobs`` attempts in
+   flight; each attempt opens the characterization cache *read-only*,
+   so the cache hit/miss pattern — and therefore every RNG draw an
+   experiment makes — is a pure function of the declared needs, never
+   of scheduling order.  That is what makes ``--jobs 8`` byte-identical
+   to ``--jobs 1``.
+
+One supervision loop serves every ``--jobs`` value.  ``--jobs N`` runs
+attempts on a process pool; ``--jobs 1`` runs them on an in-process
+executor that runs each attempt as it is submitted, inside its live
+``task:<id>`` span.  An attempt is submitted only when a slot is free,
+so its timeout clock starts when it can actually run.
 
 Each experiment seeds its own RNG and shares no mutable state with its
 siblings, so results are position-independent; the report re-assembles
@@ -30,6 +37,7 @@ from __future__ import annotations
 # compute on seeded RNGs and the characterization cache, which is why
 # --jobs N stays byte-identical to serial.
 
+import collections
 import concurrent.futures
 import multiprocessing
 import time
@@ -69,12 +77,22 @@ from repro.runtime.task import (
 # ---------------------------------------------------------------------------
 
 
+def _failure(duration_s: float, error) -> Dict[str, Any]:
+    """The payload of an attempt (or warm-up) that did not succeed;
+    ``error`` is a message, or the exception being handled."""
+    tb = None
+    if isinstance(error, Exception):
+        error, tb = f"{type(error).__name__}: {error}", traceback.format_exc()
+    return {"ok": False, "error": error, "traceback": tb,
+            "duration_s": duration_s}
+
+
 def _char_cache_for(spec: TaskSpec) -> Optional[CharacterizationCache]:
+    # Attempts never write the characterization cache: hit/miss must not
+    # depend on scheduling order.
     if not spec.char_cache_dir:
         return None
-    return CharacterizationCache(
-        spec.char_cache_dir, read_only=spec.char_cache_readonly
-    )
+    return CharacterizationCache(spec.char_cache_dir, read_only=True)
 
 
 def _run_experiment_task(spec: TaskSpec) -> Dict[str, Any]:
@@ -91,12 +109,7 @@ def _run_experiment_task(spec: TaskSpec) -> Dict[str, Any]:
             "duration_s": time.perf_counter() - t0,
         }
     except Exception as exc:
-        return {
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-            "duration_s": time.perf_counter() - t0,
-        }
+        return _failure(time.perf_counter() - t0, exc)
 
 
 def _run_warmup_task(
@@ -122,12 +135,7 @@ def _run_warmup_task(
             )
         return {"ok": True, "duration_s": time.perf_counter() - t0}
     except Exception as exc:
-        return {
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-            "duration_s": time.perf_counter() - t0,
-        }
+        return _failure(time.perf_counter() - t0, exc)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +216,41 @@ def _mp_context():
     )
 
 
+class _InlineExecutor(concurrent.futures.Executor):
+    """``--jobs 1``: runs each call in this process as it is submitted.
+
+    An experiment attempt runs inside its live ``task:<id>`` span, so
+    the spans it opens nest under it, and a ``crash`` fault is demoted
+    to ``raise`` — a hard exit would take down the caller.
+    """
+
+    def submit(self, fn, *args):
+        fut: concurrent.futures.Future = concurrent.futures.Future()
+        if fn is _run_experiment_task:
+            spec = replace(args[0], inject_kind="raise")
+            with span(f"task:{spec.exp_id}", category="task",
+                      attempt=spec.attempt) as sp:
+                payload = fn(spec)
+                sp.set(ok=payload["ok"])
+        else:
+            payload = fn(*args)
+        fut.set_result(payload)
+        return fut
+
+
+def _executor(workers: int) -> concurrent.futures.Executor:
+    """A process pool with ``workers`` slots; in-process for one."""
+    if workers <= 1:
+        return _InlineExecutor()
+    return ProcessPoolExecutor(max_workers=workers, mp_context=_mp_context())
+
+
 def _rel_ns(t_perf_s: float) -> int:
     """``time.perf_counter()`` seconds → ns relative to the tracer epoch.
 
-    The parallel scheduler observes task lifetimes as (submit time,
-    completion time) pairs in the parent process; this converts them to
-    the tracer's clock so they can be recorded as spans after the fact.
+    The supervision loop observes pool attempts as (submit time, settle
+    time) pairs in the parent process; this converts them to the
+    tracer's clock so they can be recorded as spans after the fact.
     """
     return int(t_perf_s * 1e9) - get_tracer().epoch_ns
 
@@ -315,10 +352,7 @@ def execute(plan: RunPlan) -> RunReport:
             "experiments",
             f"{len(specs)} task(s) on {plan.jobs} worker(s)",
         )
-        if plan.jobs <= 1:
-            _execute_serial(specs, plan, printer, outcomes)
-        else:
-            _execute_parallel(specs, plan, printer, outcomes)
+        _supervise([spec for spec, _ in specs], plan, printer, outcomes)
 
     # Fill the result cache and the manifest in request order.
     ordered: List[TaskOutcome] = []
@@ -374,24 +408,16 @@ def _run_warmups(
 ) -> None:
     """Compute all needed bundles; a failed warm-up is non-fatal (the
     consuming experiment recomputes inline and reports its own error)."""
-    if plan.jobs <= 1 or len(needs) == 1:
-        for need in needs:
-            payload = _run_warmup_task(need, plan.cache_dir)
-            _report_warmup(printer, need, payload)
-        return
-    with ProcessPoolExecutor(
-        max_workers=min(plan.jobs, len(needs)), mp_context=_mp_context()
-    ) as pool:
-        futures = {
-            pool.submit(_run_warmup_task, need, plan.cache_dir): need
+    with _executor(min(plan.jobs, len(needs))) as pool:
+        futures = [
+            pool.submit(_run_warmup_task, need, plan.cache_dir)
             for need in needs
-        }
-        for fut in concurrent.futures.as_completed(futures):
-            need = futures[fut]
+        ]
+        for need, fut in zip(needs, futures):
             try:
                 payload = fut.result()
             except Exception as exc:
-                payload = {"ok": False, "error": repr(exc), "duration_s": 0.0}
+                payload = _failure(0.0, exc)
             _report_warmup(printer, need, payload)
 
 
@@ -403,289 +429,188 @@ def _report_warmup(printer, need: CharacterizationNeed, payload) -> None:
         printer.phase(label, f"warm-up failed: {payload['error']}")
 
 
-def _finalize(
-    spec: TaskSpec,
-    payload: Dict[str, Any],
-    status: TaskStatus,
-    total_duration: float,
-) -> TaskOutcome:
-    return TaskOutcome(
-        exp_id=spec.exp_id,
-        status=status,
-        result=payload.get("result") if payload.get("ok") else None,
-        attempts=spec.attempt,
-        duration_s=total_duration,
-        error=payload.get("error"),
-        traceback=payload.get("traceback"),
-    )
+@dataclass
+class _Attempt:
+    """One submitted attempt, as the supervision loop tracks it."""
+
+    spec: TaskSpec
+    #: Summed duration of the task's earlier attempts.
+    prior: float
+    #: ``time.perf_counter()`` at submit: the attempt's timeout clock.
+    started: float
+    #: The executor running it: the shared pool, or a private one.
+    executor: concurrent.futures.Executor
+    quarantined: bool = False
+    #: Booked as timed out while still running; holds its slot until
+    #: its future settles.
+    expired: bool = False
 
 
-def _execute_serial(
-    specs: List[Tuple[TaskSpec, Optional[str]]],
+def _supervise(
+    specs: List[TaskSpec],
     plan: RunPlan,
     printer: ProgressPrinter,
     outcomes: Dict[str, TaskOutcome],
 ) -> None:
-    """In-process execution with the same supervision semantics.
+    """Run every task to a terminal outcome, at most ``plan.jobs``
+    attempts in flight.
 
-    ``crash`` fault injection is demoted to ``raise`` here (a hard exit
-    would take down the caller); per-attempt timeouts are enforced
-    post-hoc — the attempt's result is discarded if over budget.
+    Tasks wait in ``ready`` until a slot is free, so an attempt's
+    timeout clock starts when it can run.  A failed attempt waits out
+    its backoff and rejoins ``ready``, or the task ends FAILED/TIMEOUT.
+    A ``BrokenProcessPool`` (a worker crashed hard) poisons every
+    in-flight future of that pool; the pool is rebuilt and each poisoned
+    task is treated as a failed attempt of its own.
     """
     policy = plan.retry
-    for spec, _key in specs:
-        total = 0.0
-        while True:
-            if spec.inject_kind == "crash":
-                spec = replace(spec, inject_kind="raise")
-            printer.task(spec.exp_id, TaskStatus.RUNNING, spec.attempt)
-            with span(f"task:{spec.exp_id}", category="task",
-                      attempt=spec.attempt) as sp:
-                payload = _run_experiment_task(spec)
-                sp.set(ok=payload["ok"])
-            total += payload["duration_s"]
-            timed_out = (
-                policy.timeout_s is not None
-                and payload["duration_s"] > policy.timeout_s
-            )
-            if payload["ok"] and not timed_out:
-                outcomes[spec.exp_id] = _finalize(
-                    spec, payload, TaskStatus.DONE, total
-                )
-                printer.task(
-                    spec.exp_id, TaskStatus.DONE, spec.attempt,
-                    f"{payload['duration_s']:.1f}s",
-                )
-                break
-            if timed_out:
-                payload = {
-                    "ok": False,
-                    "error": (
-                        f"attempt exceeded timeout "
-                        f"({payload['duration_s']:.1f}s > "
-                        f"{policy.timeout_s:.1f}s)"
-                    ),
-                    "traceback": None,
-                    "duration_s": payload["duration_s"],
-                }
-            if policy.should_retry(spec.attempt):
-                printer.task(
-                    spec.exp_id, TaskStatus.FAILED, spec.attempt,
-                    f"retrying: {payload['error']}",
-                )
-                note_retry(spec.exp_id, spec.attempt,
-                           policy.backoff(spec.attempt))
-                time.sleep(policy.backoff(spec.attempt))
-                spec = replace(spec, attempt=spec.attempt + 1)
-                continue
-            status = (
-                TaskStatus.TIMEOUT if timed_out else TaskStatus.FAILED
-            )
-            outcomes[spec.exp_id] = _finalize(spec, payload, status, total)
-            printer.task(
-                spec.exp_id, status, spec.attempt, payload["error"]
-            )
-            break
-
-
-def _execute_parallel(
-    specs: List[Tuple[TaskSpec, Optional[str]]],
-    plan: RunPlan,
-    printer: ProgressPrinter,
-    outcomes: Dict[str, TaskOutcome],
-) -> None:
-    """Fan tasks across a process pool with supervision.
-
-    The loop owns three queues: in-flight futures, retries waiting out
-    their backoff, and (implicitly) the pool's own task queue.  A
-    ``BrokenProcessPool`` (worker crashed hard) poisons every in-flight
-    future of that pool; the pool is rebuilt and each poisoned task is
-    treated as a failed attempt of its own.
-    """
-    policy = plan.retry
-    ctx = _mp_context()
-    pool = ProcessPoolExecutor(max_workers=plan.jobs, mp_context=ctx)
-    #: Stable display track per task for recorded lifecycle spans
+    timeout = policy.timeout_s
+    pool = _executor(plan.jobs)
+    #: Stable display track per task for recorded attempt spans
     #: (track 0 is the parent's own thread).
-    trace_tids = {spec.exp_id: i + 1 for i, (spec, _) in enumerate(specs)}
-    #: future → (spec, submit time, cumulative duration of prior
-    #: attempts, quarantine pool or None for the shared pool)
-    in_flight: Dict[
-        concurrent.futures.Future,
-        Tuple[TaskSpec, float, float, Optional[ProcessPoolExecutor]],
-    ]
-    in_flight = {}
+    trace_tids = {spec.exp_id: i + 1 for i, spec in enumerate(specs)}
+    #: (spec, cumulative duration of prior attempts) awaiting a slot.
+    ready = collections.deque((spec, 0.0) for spec in specs)
     #: (due time, spec, cumulative duration) awaiting backoff expiry.
-    retry_queue: List[Tuple[float, TaskSpec, float]] = []
+    backoff: List[Tuple[float, TaskSpec, float]] = []
+    running: Dict[concurrent.futures.Future, _Attempt] = {}
 
     def submit(spec: TaskSpec, prior: float) -> None:
         nonlocal pool
         printer.task(spec.exp_id, TaskStatus.RUNNING, spec.attempt)
+        started = time.perf_counter()
         if spec.broken:
             # Quarantine: once a task's future has been poisoned by a
             # pool-wide crash, re-run it in a private single-task pool.
             # A repeat crash then cannot poison siblings — and a crash
             # in isolation unambiguously convicts the task itself, so
             # it is charged as a normal failed attempt.
-            solo = ProcessPoolExecutor(max_workers=1, mp_context=ctx)
+            solo = ProcessPoolExecutor(max_workers=1, mp_context=_mp_context())
             fut = solo.submit(_run_experiment_task, spec)
-            in_flight[fut] = (spec, time.perf_counter(), prior, solo)
+            running[fut] = _Attempt(spec, prior, started, solo,
+                                    quarantined=True)
             return
         try:
             fut = pool.submit(_run_experiment_task, spec)
         except BrokenProcessPool:
             pool.shutdown(wait=False, cancel_futures=True)
-            pool = ProcessPoolExecutor(max_workers=plan.jobs, mp_context=ctx)
+            pool = _executor(plan.jobs)
             fut = pool.submit(_run_experiment_task, spec)
-        in_flight[fut] = (spec, time.perf_counter(), prior, None)
+        running[fut] = _Attempt(spec, prior, started, pool)
 
-    def attempt_failed(
-        spec: TaskSpec, payload: Dict[str, Any], total: float,
-        timed_out: bool = False, broken: bool = False,
+    def finish(
+        att: _Attempt, payload: Dict[str, Any], elapsed: float,
+        broken: bool = False,
     ) -> None:
-        retry = policy.should_retry(spec.attempt)
-        if broken and not retry:
-            # A pool break poisons *every* in-flight future, and the
-            # perpetrator is indistinguishable from its victims — so
-            # pool-broken attempts draw on a separate, equally bounded
-            # grace allowance instead of the task's own retry budget.
-            retry = spec.broken < policy.max_attempts
-        if broken:
-            spec = replace(spec, broken=spec.broken + 1)
-        if retry:
-            printer.task(
-                spec.exp_id, TaskStatus.FAILED, spec.attempt,
-                f"retrying: {payload['error']}",
+        """Book one settled or expired attempt: done, retry, or give up."""
+        spec = att.spec
+        timed_out = timeout is not None and elapsed > timeout
+        if timed_out:
+            payload = _failure(elapsed, f"attempt exceeded timeout "
+                               f"({elapsed:.1f}s > {timeout:.1f}s)")
+        if not isinstance(att.executor, _InlineExecutor):
+            # Inline attempts ran inside their own live span.
+            get_tracer().record(
+                f"task:{spec.exp_id}", _rel_ns(att.started),
+                _rel_ns(att.started + elapsed), category="task",
+                tid=trace_tids[spec.exp_id], attempt=spec.attempt,
+                ok=bool(payload["ok"]), quarantined=att.quarantined,
+                timeout=timed_out,
             )
-            note_retry(spec.exp_id, spec.attempt,
-                       policy.backoff(spec.attempt))
-            retry_queue.append(
-                (
+        total = att.prior + payload["duration_s"]
+        if not payload["ok"]:
+            retry = policy.should_retry(spec.attempt)
+            if broken and not retry:
+                # A pool break poisons *every* in-flight future, and the
+                # perpetrator is indistinguishable from its victims — so
+                # pool-broken attempts draw on a separate, equally
+                # bounded grace allowance instead of the task's own
+                # retry budget.
+                retry = spec.broken < policy.max_attempts
+            if broken:
+                spec = replace(spec, broken=spec.broken + 1)
+            if retry:
+                printer.task(
+                    spec.exp_id, TaskStatus.FAILED, spec.attempt,
+                    f"retrying: {payload['error']}",
+                )
+                note_retry(spec.exp_id, spec.attempt,
+                           policy.backoff(spec.attempt))
+                backoff.append((
                     time.perf_counter() + policy.backoff(spec.attempt),
                     replace(spec, attempt=spec.attempt + 1),
                     total,
-                )
-            )
-            return
-        status = TaskStatus.TIMEOUT if timed_out else TaskStatus.FAILED
-        outcomes[spec.exp_id] = _finalize(spec, payload, status, total)
-        printer.task(spec.exp_id, status, spec.attempt, payload["error"])
+                ))
+                return
+        status = (TaskStatus.DONE if payload["ok"] else
+                  TaskStatus.TIMEOUT if timed_out else TaskStatus.FAILED)
+        outcomes[spec.exp_id] = TaskOutcome(
+            exp_id=spec.exp_id, status=status,
+            result=payload.get("result"), attempts=spec.attempt,
+            duration_s=total, error=payload.get("error"),
+            traceback=payload.get("traceback"),
+        )
+        printer.task(spec.exp_id, status, spec.attempt,
+                     payload.get("error") or f"{payload['duration_s']:.1f}s")
 
-    for spec, _key in specs:
-        submit(spec, 0.0)
-
+    finished = False
     try:
-        while in_flight or retry_queue:
+        while ready or backoff or any(
+            not att.expired for att in running.values()
+        ):
             now = time.perf_counter()
-            # Release retries whose backoff expired.
-            due = [r for r in retry_queue if r[0] <= now]
-            retry_queue = [r for r in retry_queue if r[0] > now]
-            for _due, spec, prior in due:
-                submit(spec, prior)
-            if not in_flight:
-                if retry_queue:
-                    time.sleep(
-                        max(0.0, min(r[0] for r in retry_queue) - now)
-                    )
-                continue
+            ready.extend((s, prior) for due, s, prior in backoff
+                         if due <= now)
+            backoff = [b for b in backoff if b[0] > now]
+            while ready and len(running) < plan.jobs:
+                submit(*ready.popleft())
 
+            # Sleep until an attempt settles, a live attempt's budget
+            # runs out, or a backoff expires — whichever comes first.
+            deadlines = [due for due, _s, _p in backoff]
+            if timeout is not None:
+                deadlines += [att.started + timeout
+                              for att in running.values() if not att.expired]
             done, _ = concurrent.futures.wait(
-                set(in_flight),
-                timeout=0.05,
+                running,
+                timeout=(max(0.0, min(deadlines) - time.perf_counter())
+                         if deadlines else None),
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
-            broken = False
+            now = time.perf_counter()
+            rebuild = False
             for fut in done:
-                spec, t_submit, prior, solo = in_flight.pop(fut)
-                elapsed = time.perf_counter() - t_submit
-                was_broken = False
+                att = running.pop(fut)
+                if att.quarantined:
+                    att.executor.shutdown(wait=False, cancel_futures=True)
+                if att.expired:
+                    continue  # booked when its budget ran out
+                elapsed = now - att.started
+                crashed = False
                 try:
                     payload = fut.result()
                 except BrokenProcessPool as exc:
-                    if solo is None:
-                        broken = was_broken = True
-                    payload = {
-                        "ok": False,
-                        "error": f"worker crashed: {exc!r}",
-                        "traceback": None,
-                        "duration_s": elapsed,
-                    }
-                except concurrent.futures.CancelledError:
-                    continue
+                    crashed = not att.quarantined
+                    rebuild |= crashed and att.executor is pool
+                    payload = _failure(elapsed, f"worker crashed: {exc!r}")
                 except Exception as exc:
-                    payload = {
-                        "ok": False,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                        "duration_s": elapsed,
-                    }
-                finally:
-                    if solo is not None:
-                        solo.shutdown(wait=False, cancel_futures=True)
-                get_tracer().record(
-                    f"task:{spec.exp_id}", _rel_ns(t_submit),
-                    _rel_ns(time.perf_counter()), category="task",
-                    tid=trace_tids.get(spec.exp_id, 0),
-                    attempt=spec.attempt, ok=bool(payload["ok"]),
-                    quarantined=solo is not None,
-                )
-                total = prior + payload["duration_s"]
-                if payload["ok"]:
-                    outcomes[spec.exp_id] = _finalize(
-                        spec, payload, TaskStatus.DONE, total
-                    )
-                    printer.task(
-                        spec.exp_id, TaskStatus.DONE, spec.attempt,
-                        f"{payload['duration_s']:.1f}s",
-                    )
-                else:
-                    attempt_failed(
-                        spec, payload, total, broken=was_broken
-                    )
-
-            if broken:
+                    payload = _failure(elapsed, exc)
+                finish(att, payload, elapsed, broken=crashed)
+            if rebuild:
                 # The crashed pool is unusable; rebuild before retries run.
                 pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(
-                    max_workers=plan.jobs, mp_context=ctx
-                )
+                pool = _executor(plan.jobs)
 
-            # Enforce per-attempt wall-clock budgets.
-            if policy.timeout_s is not None:
-                now = time.perf_counter()
-                for fut, (spec, t_submit, prior, solo) in list(
-                    in_flight.items()
-                ):
-                    elapsed = now - t_submit
-                    if elapsed <= policy.timeout_s:
-                        continue
-                    in_flight.pop(fut)
+            # Enforce per-attempt wall-clock budgets on live attempts.
+            for fut, att in running.items():
+                if (timeout is not None and not att.expired
+                        and now - att.started > timeout):
+                    att.expired = True
                     fut.cancel()
-                    if solo is not None:
-                        solo.shutdown(wait=False, cancel_futures=True)
-                    get_tracer().record(
-                        f"task:{spec.exp_id}", _rel_ns(t_submit),
-                        _rel_ns(now), category="task",
-                        tid=trace_tids.get(spec.exp_id, 0),
-                        attempt=spec.attempt, ok=False, timeout=True,
-                    )
-                    payload = {
-                        "ok": False,
-                        "error": (
-                            f"attempt exceeded timeout "
-                            f"({elapsed:.1f}s > {policy.timeout_s:.1f}s)"
-                        ),
-                        "traceback": None,
-                        "duration_s": elapsed,
-                    }
-                    attempt_failed(
-                        spec, payload, prior + elapsed, timed_out=True
-                    )
+                    finish(att, {}, now - att.started)
+        finished = True
     finally:
-        # Join workers on the normal path (in_flight drained) — leaving
-        # executor threads alive races the interpreter's own atexit
-        # teardown and occasionally spews "Exception ignored" noise.
-        pool.shutdown(wait=not in_flight, cancel_futures=True)
-        for _spec, _t, _prior, solo in in_flight.values():
-            if solo is not None:
-                solo.shutdown(wait=False, cancel_futures=True)
+        # Join workers on the normal path — leaving executor threads
+        # alive races the interpreter's own atexit teardown and
+        # occasionally spews "Exception ignored" noise.
+        for executor in [pool, *(a.executor for a in running.values())]:
+            executor.shutdown(wait=finished, cancel_futures=True)

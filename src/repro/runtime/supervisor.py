@@ -4,7 +4,8 @@ The supervisor does not run tasks itself — :mod:`repro.runtime.pool`
 owns the executor — it decides *what happens next* when an attempt
 fails: retry (with exponential backoff) or give up, and how long an
 attempt may take.  Keeping the policy separate makes it trivially
-testable and reusable by the serial path.
+testable; the pool's one supervision loop applies it for every
+``--jobs`` value.
 
 Fault injection is first-class because a fault-tolerance layer that
 cannot be exercised is decorative: ``TaskSpec.inject_failures`` makes a
@@ -16,6 +17,7 @@ via ``REPRO_RUNTIME_FAULT="fig4:1"`` or ``"fig4:2:crash"``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -47,8 +49,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ReproError("max_attempts must be >= 1")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ReproError("timeout_s must be positive")
+        if self.timeout_s is not None and not (
+            math.isfinite(self.timeout_s) and self.timeout_s > 0
+        ):
+            raise ReproError("timeout_s must be finite and positive")
 
     def should_retry(self, attempt: int) -> bool:
         """Whether attempt number ``attempt`` (1-based) may be retried."""
@@ -83,8 +87,8 @@ def parse_fault_spec(text: str) -> Dict[str, Tuple[int, str]]:
 def note_retry(exp_id: str, attempt: int, backoff_s: float) -> None:
     """Metrics hook called by the scheduler each time a retry is queued.
 
-    Lives here (not in the pool) so both execution paths — serial and
-    parallel — account retries identically.
+    Lives here, next to :class:`RetryPolicy`, so retry accounting sits
+    with the rule that decides a retry, whatever ``--jobs`` is.
     """
     counter("runtime.retries").inc()
     histogram("runtime.retry.backoff_s", unit="s").observe(backoff_s)

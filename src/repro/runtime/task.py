@@ -80,11 +80,9 @@ class TaskSpec:
     inject_failures: int = 0
     #: ``"raise"`` (exception in the worker) or ``"crash"`` (hard exit).
     inject_kind: str = "raise"
-    #: Directory of the shared characterization cache (None → disabled).
+    #: Directory of the shared characterization cache, opened read-only
+    #: by every attempt (None → disabled).
     char_cache_dir: Optional[str] = None
-    #: Workers never write the characterization cache during the
-    #: experiment phase — hit/miss must not depend on scheduling order.
-    char_cache_readonly: bool = True
 
 
 @dataclass
