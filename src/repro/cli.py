@@ -34,6 +34,7 @@ chronological timeline instead).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -43,6 +44,20 @@ from repro.experiments import all_ids, get
 #: Subcommands with their own flag namespace, dispatched before the main
 #: parser sees the argv (``--port`` etc. would be unknown flags to it).
 _SUBCOMMANDS = ("serve", "loadgen", "lint", "machines", "store")
+
+
+def _flag(kind, ok, rule: str):
+    """An argparse ``type`` that parses with ``kind`` and accepts only
+    values passing ``ok``; anything else is a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runtime = p.add_argument_group("execution engine")
     runtime.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_flag(int, lambda n: n >= 1, "an integer >= 1"),
+        default=1, metavar="N",
         help="worker processes (default 1 = serial; results are "
              "byte-identical either way)",
     )
@@ -114,11 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro-knl)",
     )
     runtime.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
+        "--timeout",
+        type=_flag(float, lambda t: math.isfinite(t) and t > 0,
+                   "a finite number > 0"),
+        default=None, metavar="SECONDS",
         help="wall-clock budget per experiment attempt",
     )
     runtime.add_argument(
-        "--retries", type=int, default=1, metavar="N",
+        "--retries", type=_flag(int, lambda n: n >= 0, "an integer >= 0"),
+        default=1, metavar="N",
         help="retries per failed experiment (default 1)",
     )
     runtime.add_argument(
