@@ -38,6 +38,20 @@ def test_engine_broadcast_256(benchmark, machine, capability):
     assert benchmark(episode) > 0
 
 
+def test_engine_replay_broadcast_256(benchmark, machine, capability):
+    """The replay loop alone: the program set is built and compiled
+    once, as ``run_episodes`` does, so only noise and scheduling remain."""
+    threads = pin_threads(machine.topology, 256, "scatter")
+    plan = plan_broadcast(capability, machine.topology, threads)
+    engine = Engine(machine, noisy=True)
+    compiled = engine.compile(plan.programs())
+
+    def episode():
+        return engine.replay(compiled).makespan_ns
+
+    assert benchmark(episode) > 0
+
+
 def test_characterization_speed(benchmark, machine):
     res = benchmark.pedantic(
         lambda: characterize(machine, iterations=20), rounds=1, iterations=1

@@ -26,17 +26,19 @@ def run_episodes(
 ) -> np.ndarray:
     """Makespan samples [ns] over ``iterations`` episodes.
 
-    Programs are rebuilt per episode.  A build is linear in the ranks,
-    but not free: at 64-256 ranks it is roughly a fifth of an episode,
-    the engine run the rest.  Noise comes from the machine model, so
-    each episode sees fresh jitter, different poll winners, and
-    occasional outliers — the spread in the paper's boxplots.
+    ``build`` is called once and its programs compiled once; each
+    episode replays them (builders draw no noise, so every build of a
+    sweep point is the same program set).  Noise comes from the machine
+    model, so each episode sees fresh jitter, different poll winners,
+    and occasional outliers — the spread in the paper's boxplots.
+    At ``iterations=0`` nothing is built.
     """
     engine = Engine(machine, noisy=noisy)
     out = np.empty(iterations)
-    for i in range(iterations):
-        result = engine.run(build())
-        out[i] = result.makespan_ns
+    if iterations:
+        compiled = engine.compile(build())
+        for i in range(iterations):
+            out[i] = engine.replay(compiled).makespan_ns
     return out
 
 

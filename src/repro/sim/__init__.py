@@ -18,7 +18,7 @@ from repro.sim.program import (
     Compute,
     Program,
 )
-from repro.sim.engine import Engine, RunResult
+from repro.sim.engine import CompiledRun, Engine, RunResult
 from repro.sim.kernels import (
     bandwidth_grid,
     contention_makespans,
@@ -45,6 +45,7 @@ __all__ = [
     "Compute",
     "Program",
     "Engine",
+    "CompiledRun",
     "RunResult",
     "bandwidth_grid",
     "contention_makespans",

@@ -11,20 +11,29 @@ hit the same flag, following the measured contention model
 Processing in clock order makes contention ranks consistent: when a
 poller starts its transfer, every transfer that started earlier in
 virtual time has already been registered.
+
+A run has two phases.  :meth:`Engine.compile` does everything that does
+not depend on noise, once per program set: it checks the set, resolves
+each thread's core, interns flag names to ints, finds each flag's one
+writer and prices every op noise-free through the machine's cost model.
+:meth:`Engine.replay` walks the resulting flat instruction lists and
+draws only the noise, in op order.  ``run(programs)`` is
+``replay(compile(programs))``; a caller that runs one fixed program set
+many times (a collective's episodes) compiles it once.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+import operator
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.machine.coherence import MESIF
 from repro.machine.machine import KNLMachine
+from repro.sim.kernels import flag_wake_finishes
 from repro.sim.trace import Trace, TraceEvent
 from repro.sim.program import (
     Compute,
@@ -40,17 +49,17 @@ from repro.sim.program import (
 )
 from repro.units import CACHE_LINE_BYTES, lines_in
 
+# Instruction op codes.  An instruction is a tuple headed by its code;
+# the costs it carries are noise-free.
+_JITTER = 0    # (code, ns): jitter only (Delay, Compute, MemWrite)
+_SAMPLE = 1    # (code, ns): one noise sample (LocalCopy, CopyFrom)
+_MEM_READ = 2  # (code, latency_ns, stream_ns)
+_WRITE = 3     # (code, flag, store_ns, visibility_ns)
+_POLL = 4      # (code, flag, flag_line_ns, payload_ns)
+_END = 5       # (code,): closes every thread's list
 
-@dataclass
-class _FlagState:
-    set_time: Optional[float] = None
-    writer_core: Optional[int] = None
-    #: Finish time of the latest transfer in the contention queue.
-    queue_tail: float = -np.inf
-    #: Number of transfers served so far (for rank accounting).
-    served: int = 0
-    #: Threads blocked waiting for the flag.
-    waiters: List[int] = field(default_factory=list)
+_END_INS = (_END,)
+_arrival = operator.itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,20 @@ class RunResult:
         return self.finish_ns[thread]
 
 
+@dataclass(frozen=True)
+class CompiledRun:
+    """A program set lowered by :meth:`Engine.compile` for one machine:
+    per-thread instruction tuples (see the op codes above, each list
+    closed by ``_END``), indexed like ``threads``; ``ops`` keeps the
+    source ops for trace events."""
+
+    machine: KNLMachine
+    threads: Tuple[int, ...]
+    code: Tuple[Tuple[tuple, ...], ...]
+    ops: Tuple[Tuple[Op, ...], ...]
+    flags: Tuple[str, ...]
+
+
 class Engine:
     """Runs a set of per-thread programs to completion on a machine."""
 
@@ -87,121 +110,208 @@ class Engine:
     # ------------------------------------------------------------------
 
     def run(self, programs: Sequence[Program]) -> RunResult:
-        from repro.obs import counter
+        """Compile ``programs`` and replay them once."""
+        return self.replay(self.compile(programs))
 
-        counter("sim.runs").inc()
-        threads = [p.thread for p in programs]
+    def compile(self, programs: Sequence[Program]) -> CompiledRun:
+        """Check and lower ``programs``; draws no noise, so a rejected
+        set (duplicate or out-of-range thread, unknown op, a flag
+        written twice) leaves the machine's noise stream untouched."""
+        threads = tuple(p.thread for p in programs)
         if len(set(threads)) != len(threads):
             raise SimulationError("duplicate thread ids in program set")
-        progs: Dict[int, Program] = {p.thread: p for p in programs}
-        # Each thread's core is fixed for the run: resolve (and range-
-        # check) it once, before any op is costed.
         topo = self.machine.topology
-        cores: Dict[int, int] = {t: topo.core_of_thread(t) for t in threads}
-        clock: Dict[int, float] = {t: 0.0 for t in threads}
-        pc: Dict[int, int] = {t: 0 for t in threads}
-        flags: Dict[str, _FlagState] = {}
-        finished: Dict[int, float] = {}
+        cores = [topo.core_of_thread(t) for t in threads]
+        flag_ids: Dict[str, int] = {}
+        writer_core: Dict[int, int] = {}
+        for p, core in zip(programs, cores):
+            for op in p.ops:
+                if isinstance(op, (WriteFlag, PollFlag)):
+                    f = flag_ids.setdefault(op.flag, len(flag_ids))
+                    if isinstance(op, WriteFlag):
+                        if f in writer_core:
+                            raise SimulationError(
+                                f"flag {op.flag!r} written twice "
+                                f"(again by thread {p.thread})"
+                            )
+                        writer_core[f] = core
+        code = tuple(
+            tuple([self._lower(op, core, flag_ids, writer_core) for op in p.ops]
+                  + [_END_INS])
+            for p, core in zip(programs, cores)
+        )
+        return CompiledRun(
+            machine=self.machine,
+            threads=threads,
+            code=code,
+            ops=tuple(tuple(p.ops) for p in programs),
+            flags=tuple(flag_ids),
+        )
 
-        # Heap of (clock, tiebreak, thread). Blocked threads leave the heap.
-        events: List[TraceEvent] = []
-        counter = itertools.count()
-        heap = [(0.0, next(counter), t) for t in threads]
-        heapq.heapify(heap)
-        blocked: Dict[int, str] = {}  # thread -> flag name it waits on
+    def _lower(
+        self, op: Op, core: int, flag_ids: Dict[str, int],
+        writer_core: Dict[int, int],
+    ) -> tuple:
+        """One op as an instruction with its noise-free costs."""
+        m = self.machine
+        if isinstance(op, WriteFlag):
+            return (_WRITE, flag_ids[op.flag],
+                    m.flag_write_ns(op.n_pollers, noisy=False),
+                    m.flag_visibility_ns(op.n_pollers, op.cold, noisy=False))
+        if isinstance(op, PollFlag):
+            f = flag_ids[op.flag]
+            writer = writer_core.get(f)
+            if writer is None:  # never served: the run deadlocks
+                return (_POLL, f, None, None)
+            payload = 0.0
+            if op.payload_bytes > CACHE_LINE_BYTES:
+                extra_lines = lines_in(op.payload_bytes) - 1
+                bw = m._multiline_plateau_bw(  # noqa: SLF001 - engine is a friend
+                    core, op.payload_state, writer, "copy", True
+                )
+                payload = extra_lines * CACHE_LINE_BYTES / bw
+            return (_POLL, f, m.line_transfer_true_ns(
+                core, MESIF.MODIFIED, writer), payload)
+        if isinstance(op, Delay):
+            return (_JITTER, op.ns)
+        if isinstance(op, Compute):
+            return (_JITTER, lines_in(op.nbytes) * op.ns_per_line)
+        if isinstance(op, LocalCopy):
+            return (_SAMPLE, m.multiline_true_ns(
+                core, op.nbytes, MESIF.EXCLUSIVE, core, "copy"))
+        if isinstance(op, CopyFrom):
+            return (_SAMPLE, m.multiline_true_ns(
+                core, op.nbytes, op.state, op.owner_core, "copy", op.vectorized))
+        if isinstance(op, MemRead):
+            return (_MEM_READ, m.memory_latency_true_ns(core, kind=op.kind),
+                    op.nbytes / 8.0)  # single-thread ~8 GB/s (§V-B)
+        if isinstance(op, MemWrite):
+            return (_JITTER, op.nbytes / (8.0 if op.nt else 8.0 * 0.52))
+        raise SimulationError(f"unknown op {op!r}")
+
+    def replay(self, compiled: CompiledRun) -> RunResult:
+        """Run a compiled program set once, drawing fresh noise."""
+        from repro.obs import counter
+
+        if compiled.machine is not self.machine:
+            raise SimulationError("program set was compiled for another machine")
+        counter("sim.runs").inc()
+        noisy = self.noisy
+        sample = self.machine.noise.sample
+        jitter = self.machine.noise.jitter_only
+        beta = self.machine.calibration.contention_beta
+        threads, code, ops = compiled.threads, compiled.code, compiled.ops
+        n_flags = len(compiled.flags)
+        pc = [0] * len(threads)
+        set_time: List[Optional[float]] = [None] * n_flags
+        # Finish of the latest transfer in each flag's contention queue,
+        # and the number of transfers served so far (rank accounting).
+        queue_tail = [float("-inf")] * n_flags
+        served = [0] * n_flags
+        # flag -> blocked (arrival, thread index, pc) in blocking order
+        waiters: Dict[int, List[Tuple[float, int, int]]] = {}
+        finished: Dict[int, float] = {}
+        events: Optional[List[TraceEvent]] = [] if self.record_trace else None
+
+        # Heap of (clock, tiebreak, thread index); blocked threads leave
+        # it.  A thread keeps running while its clock stays below every
+        # other entry's: exactly when its push would be the next pop.
+        heap = [(0.0, i, i) for i in range(len(threads))]
+        tiebreak = itertools.count(len(threads))
+        heappush, heappop = heapq.heappush, heapq.heappop
+
+        def serve(f: int, ins: tuple, start: float) -> float:
+            """Finish of one poller's transfer (flag + payload): the
+            first reader pays the plain cache-to-cache cost; one whose
+            transfer overlaps an in-flight one queues at β."""
+            base = sample(ins[2]) if noisy else ins[2]
+            finish = start + (base + ins[3])
+            if served[f] and queue_tail[f] > start:
+                finish = max(finish, queue_tail[f] + (jitter(beta) if noisy else beta))
+            queue_tail[f] = finish
+            served[f] += 1
+            return finish
+
+        def wake(f: int, flag_set: float, woken: list) -> None:
+            """Serve the threads blocked on flag ``f``, just set, in their
+            arrival (clock) order.  A wide wake (broadcast fan-out) draws
+            all waiters' noise through one array kernel; one waiter takes
+            the scalar path."""
+            woken.sort(key=_arrival)
+            starts = [max(w[0], flag_set) for w in woken]
+            polls = [code[w][wk] for _, w, wk in woken]
+            if len(woken) > 1:
+                finishes, queue_tail[f], served[f] = flag_wake_finishes(
+                    self.machine, starts, [p[2] for p in polls],
+                    [p[3] for p in polls], queue_tail[f], served[f], noisy,
+                )
+            else:
+                finishes = [serve(f, polls[0], starts[0])]
+            for (_, w, wk), start, finish in zip(woken, starts, finishes):
+                if events is not None:
+                    events.append(
+                        TraceEvent(threads[w], wk, ops[w][wk], start, finish))
+                pc[w] = wk + 1
+                heappush(heap, (finish, next(tiebreak), w))
 
         while heap:
-            now, _, t = heapq.heappop(heap)
-            if now != clock[t]:
-                continue  # stale entry
-            prog = progs[t]
-            if pc[t] >= len(prog.ops):
-                finished[t] = clock[t]
-                continue
-            op = prog.ops[pc[t]]
-            if isinstance(op, PollFlag):
-                st = flags.setdefault(op.flag, _FlagState())
-                if st.set_time is None:
-                    blocked[t] = op.flag
-                    st.waiters.append(t)
-                    continue
-                arrival = clock[t]
-                clock[t] = self._serve_poll(st, op, cores[t], arrival)
-                if self.record_trace:
-                    events.append(TraceEvent(
-                        t, pc[t], op, max(arrival, st.set_time), clock[t]
-                    ))
-                pc[t] += 1
-                heapq.heappush(heap, (clock[t], next(counter), t))
-                continue
+            now, _, i = heappop(heap)
+            prog = code[i]
+            k = pc[i]
+            while True:
+                ins = prog[k]
+                kind = ins[0]
+                start = now
+                if kind == _POLL:
+                    f = ins[1]
+                    flag_set = set_time[f]
+                    if flag_set is None:
+                        waiters.setdefault(f, []).append((now, i, k))
+                        break
+                    if flag_set > now:
+                        start = flag_set
+                    end = serve(f, ins, start)
+                elif kind == _JITTER:
+                    end = now + (jitter(ins[1]) if noisy else ins[1])
+                elif kind == _SAMPLE:
+                    end = now + (sample(ins[1]) if noisy else ins[1])
+                elif kind == _WRITE:
+                    f = ins[1]
+                    end = now + (sample(ins[2]) if noisy else ins[2])
+                    visible = sample(ins[3]) if noisy and ins[3] else ins[3]
+                    set_time[f] = flag_set = end + visible
+                    woken = waiters.pop(f, None)
+                    if woken:
+                        wake(f, flag_set, woken)
+                elif kind == _MEM_READ:
+                    end = now + (sample(ins[1]) + jitter(ins[2])
+                                 if noisy else ins[1] + ins[2])
+                else:  # _END
+                    finished[threads[i]] = now
+                    break
+                if events is not None:
+                    events.append(TraceEvent(threads[i], k, ops[i][k], start, end))
+                k += 1
+                now = end
+                if heap and heap[0][0] <= now:
+                    pc[i] = k
+                    heappush(heap, (now, next(tiebreak), i))
+                    break
 
-            cost = self._op_cost(op, cores[t])
-            if self.record_trace:
-                events.append(TraceEvent(t, pc[t], op, clock[t], clock[t] + cost))
-            clock[t] += cost
-            pc[t] += 1
-            if isinstance(op, WriteFlag):
-                st = flags.setdefault(op.flag, _FlagState())
-                if st.set_time is not None:
-                    raise SimulationError(
-                        f"flag {op.flag!r} written twice (by thread {t})"
-                    )
-                st.set_time = clock[t] + self.machine.flag_visibility_ns(
-                    op.n_pollers, op.cold, noisy=self.noisy
-                )
-                st.writer_core = cores[t]
-                # Wake waiters in their arrival (clock) order.  A wide
-                # wake (broadcast fan-out) batches all waiters' noise
-                # draws through one array kernel; a single waiter takes
-                # the scalar path.
-                waking = sorted(st.waiters, key=lambda x: clock[x])
-                if len(waking) > 1:
-                    finishes = self._serve_poll_batch(
-                        st, [(cores[w], progs[w].ops[pc[w]], clock[w])
-                             for w in waking]
-                    )
-                else:
-                    finishes = [
-                        self._serve_poll(
-                            st, progs[w].ops[pc[w]], cores[w], clock[w]
-                        )
-                        for w in waking
-                    ]
-                for w, finish in zip(waking, finishes):
-                    wop = progs[w].ops[pc[w]]
-                    assert isinstance(wop, PollFlag) and wop.flag == op.flag
-                    warrival = clock[w]
-                    clock[w] = finish
-                    if self.record_trace:
-                        events.append(TraceEvent(
-                            w, pc[w], wop, max(warrival, st.set_time), clock[w]
-                        ))
-                    pc[w] += 1
-                    del blocked[w]
-                    heapq.heappush(heap, (clock[w], next(counter), w))
-                st.waiters.clear()
-            heapq.heappush(heap, (clock[t], next(counter), t))
-
-        if blocked:
-            missing = sorted(set(blocked.values()))
+        if waiters:
+            stuck = sorted(threads[w[1]] for ws in waiters.values() for w in ws)
+            missing = sorted(compiled.flags[f] for f in waiters)
             raise SimulationError(
-                f"deadlock: threads {sorted(blocked)} wait on flags never "
+                f"deadlock: threads {stuck} wait on flags never "
                 f"written: {missing}"
             )
-        # Threads that ran off the end of their op list inside the loop are
-        # already in `finished`; catch any zero-op programs too.
-        for t in threads:
-            finished.setdefault(t, clock[t])
-        trace = Trace(events) if self.record_trace else None
-        if trace is not None:
+        trace = None
+        if events is not None:
+            trace = Trace(events)
             self._publish_trace(trace)
         return RunResult(
             finish_ns=finished,
-            flag_set_ns={
-                name: st.set_time
-                for name, st in flags.items()
-                if st.set_time is not None
-            },
+            flag_set_ns=dict(zip(compiled.flags, set_time)),
             trace=trace,
         )
 
@@ -219,98 +329,3 @@ class Engine:
         tracer.add_sim_trace(
             trace, label=f"{self.machine.config.label()}/{len(trace)}ops"
         )
-
-    # ------------------------------------------------------------------
-
-    def _serve_poll(
-        self, st: _FlagState, op: PollFlag, reader: int, arrival: float
-    ) -> float:
-        """Completion time of a poller's transfer (flag + payload).
-
-        The first reader pays the plain cache-to-cache cost; readers whose
-        transfer overlaps an in-flight one queue at β per reader, so N
-        simultaneous pollers complete at ``set + α + iβ`` — the measured
-        T_C shape.  ``reader`` is the poller's core.
-        """
-        m = self.machine
-        start = max(arrival, st.set_time)
-        base = m.flag_read_ns(reader, st.writer_core, noisy=self.noisy)
-        if op.payload_bytes > CACHE_LINE_BYTES:
-            extra_lines = lines_in(op.payload_bytes) - 1
-            bw = m._multiline_plateau_bw(  # noqa: SLF001 - engine is a friend
-                reader, op.payload_state, st.writer_core, "copy", True
-            )
-            base += extra_lines * CACHE_LINE_BYTES / bw
-        solo_finish = start + base
-        if st.served == 0 or st.queue_tail <= start:
-            finish = solo_finish
-        else:
-            beta = m.calibration.contention_beta
-            if self.noisy:
-                beta = m.noise.jitter_only(beta)
-            finish = max(solo_finish, st.queue_tail + beta)
-        st.queue_tail = finish
-        st.served += 1
-        return finish
-
-    def _serve_poll_batch(
-        self, st: _FlagState, wakes: List[tuple]
-    ) -> List[float]:
-        """Array-kernel twin of :meth:`_serve_poll` for a whole wake:
-        per-waiter solo costs are drawn in one vectorized noise call,
-        the contention-queue recurrence folds over the results
-        (:func:`repro.sim.kernels.flag_wake_finishes`).  ``wakes`` holds
-        ``(reader core, poll op, arrival)`` per waiter."""
-        from repro.sim.kernels import flag_wake_finishes
-
-        m = self.machine
-        starts: List[float] = []
-        base_true: List[float] = []
-        extra: List[float] = []
-        for reader, op, arrival in wakes:
-            assert isinstance(op, PollFlag)
-            starts.append(max(arrival, st.set_time))
-            base_true.append(
-                m.line_transfer_true_ns(reader, MESIF.MODIFIED, st.writer_core)
-            )
-            if op.payload_bytes > CACHE_LINE_BYTES:
-                extra_lines = lines_in(op.payload_bytes) - 1
-                bw = m._multiline_plateau_bw(  # noqa: SLF001 - friend
-                    reader, op.payload_state, st.writer_core, "copy", True
-                )
-                extra.append(extra_lines * CACHE_LINE_BYTES / bw)
-            else:
-                extra.append(0.0)
-        finishes, st.queue_tail, st.served = flag_wake_finishes(
-            m, starts, base_true, extra, st.queue_tail, st.served, self.noisy
-        )
-        return finishes
-
-    def _op_cost(self, op: Op, core: int) -> float:
-        m = self.machine
-        noisy = self.noisy
-        if isinstance(op, Delay):
-            return op.ns if not noisy else m.noise.jitter_only(op.ns)
-        if isinstance(op, Compute):
-            value = lines_in(op.nbytes) * op.ns_per_line
-            return value if not noisy else m.noise.jitter_only(value)
-        if isinstance(op, LocalCopy):
-            return m.multiline_ns(
-                core, op.nbytes, MESIF.EXCLUSIVE, core, "copy", noisy=noisy
-            )
-        if isinstance(op, CopyFrom):
-            return m.multiline_ns(
-                core, op.nbytes, op.state, op.owner_core, "copy",
-                vectorized=op.vectorized, noisy=noisy,
-            )
-        if isinstance(op, MemRead):
-            lat = m.memory_latency_ns(core, kind=op.kind, noisy=noisy)
-            stream = op.nbytes / 8.0  # single-thread ~8 GB/s (§V-B)
-            return lat + (m.noise.jitter_only(stream) if noisy else stream)
-        if isinstance(op, MemWrite):
-            bw = 8.0 if op.nt else 8.0 * 0.52
-            stream = op.nbytes / bw
-            return (m.noise.jitter_only(stream) if noisy else stream)
-        if isinstance(op, WriteFlag):
-            return m.flag_write_ns(op.n_pollers, noisy=noisy)
-        raise SimulationError(f"unknown op {op!r}")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms import autotune_barrier, tune_barrier
+from repro.algorithms.barrier import barrier_programs
 from repro.bench import pin_threads
 from repro.errors import ModelError
 
@@ -43,6 +44,23 @@ class TestAutotuneBarrier:
         threads = pin_threads(machine.topology, 8, "scatter")
         with pytest.raises(ModelError):
             autotune_barrier(machine, capability, threads, margin=-1)
+
+    def test_each_measured_shape_is_built_once(
+        self, machine, capability, monkeypatch
+    ):
+        from repro.algorithms import autotune
+
+        built = []
+
+        def counting_programs(ranks, rounds, arity):
+            built.append(arity)
+            return barrier_programs(ranks, rounds, arity)
+
+        monkeypatch.setattr(autotune, "barrier_programs", counting_programs)
+        threads = pin_threads(machine.topology, 16, "scatter")
+        res = autotune_barrier(machine, capability, threads, iterations=6)
+        measured = [c.label for c in res.candidates if c.measured_ns is not None]
+        assert sorted(f"m={m}" for m in built) == sorted(measured)
 
     def test_zero_margin_measures_only_model_best(self, machine, capability):
         threads = pin_threads(machine.topology, 16, "scatter")

@@ -172,3 +172,29 @@ class TestSpeedups:
         )
         assert samples.shape == (7,)
         assert (samples > 0).all()
+
+    def test_run_episodes_builds_once(self, machine):
+        threads = pin_threads(machine.topology, 4, "scatter")
+        calls = []
+
+        def build():
+            calls.append(1)
+            return baselines.omp_barrier_programs(threads)
+
+        assert run_episodes(machine, build, 10).shape == (10,)
+        assert len(calls) == 1
+        assert run_episodes(machine, build, 0).shape == (0,)
+        assert len(calls) == 1
+
+    def test_replayed_episodes_match_rebuilt_runs(self, snc4_flat_config):
+        """Replaying one compiled program set draws the same noise as
+        rebuilding and running it every episode."""
+        from repro.machine import KNLMachine
+        from repro.sim import Engine
+
+        threads = list(range(0, 32, 4))
+        build = lambda: baselines.omp_broadcast_programs(threads, 256)
+        replayed = run_episodes(KNLMachine(snc4_flat_config, seed=9), build, 6)
+        engine = Engine(KNLMachine(snc4_flat_config, seed=9))
+        rebuilt = [engine.run(build()).makespan_ns for _ in range(6)]
+        assert replayed.tolist() == rebuilt
