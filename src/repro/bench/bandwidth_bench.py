@@ -63,7 +63,7 @@ def transfer_bandwidth(
     owner = pick_partner(m, reader_core, location)
     def batch(n: int, rng: np.random.Generator) -> np.ndarray:
         true = m.multiline_true_ns(reader_core, nbytes, state, owner, op, vectorized)
-        times = m.noise.sample_many(true, n)
+        times = m.noise.sample_values(np.full(n, true))
         return nbytes / times  # GB/s == bytes/ns
     return runner.collect_vectorized(
         name=f"bw/{op}/{location}/{state.value}/{nbytes}",

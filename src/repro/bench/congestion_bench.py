@@ -69,7 +69,7 @@ def pair_latency_under_load(
 
     def batch(n: int, rng: np.random.Generator) -> np.ndarray:
         true = m.line_transfer_true_ns(reader, state, owner) * factor
-        return m.noise.sample_many(true, n)
+        return m.noise.sample_values(np.full(n, true))
 
     return runner.collect_vectorized(
         name=f"congestion/pairs={n_pairs}",
@@ -133,10 +133,10 @@ def adversarial_congestion_experiment(
     unloaded = m.line_transfer_true_ns(reader, state, owner)
 
     def batch_loaded(n: int, rng: np.random.Generator) -> np.ndarray:
-        return m.noise.sample_many(unloaded * factor, n)
+        return m.noise.sample_values(np.full(n, unloaded * factor))
 
     def batch_base(n: int, rng: np.random.Generator) -> np.ndarray:
-        return m.noise.sample_many(unloaded, n)
+        return m.noise.sample_values(np.full(n, unloaded))
 
     loaded = runner.collect_vectorized(
         name=f"congestion/adversarial/pairs={len(pairs)}",

@@ -65,7 +65,7 @@ def one_directional(
 
     def batch(n: int, rng: np.random.Generator) -> np.ndarray:
         true = m.multiline_true_ns(consumer_core, nbytes, state, owner_core)
-        return m.noise.sample_many(true, n)
+        return m.noise.sample_values(np.full(n, true))
 
     return runner.collect_vectorized(
         name=f"onedir/{owner_core}->{consumer_core}/{nbytes}",

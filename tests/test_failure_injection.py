@@ -48,7 +48,7 @@ class TestContaminatedMeasurements:
         """Demonstrates the median-over-mean choice: with outliers, the
         mean drifts several sigma while the median holds."""
         noise = NoiseModel(NoiseParams(sigma=0.03, outlier_p=0.10), seed=5)
-        samples = noise.sample_many(100.0, 5000)
+        samples = noise.sample_values(np.full(5000, 100.0))
         assert abs(np.median(samples) - 100.0) < 5.0
         assert np.mean(samples) > np.median(samples) + 5.0
 

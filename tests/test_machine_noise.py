@@ -13,20 +13,20 @@ def noise():
 
 class TestSampling:
     def test_median_near_true_value(self, noise):
-        vals = noise.sample_many(140.0, 4000)
+        vals = noise.sample_values(np.full(4000, 140.0))
         assert np.median(vals) == pytest.approx(140.0, rel=0.05)
 
     def test_quantized_to_tsc_resolution(self, noise):
-        vals = noise.sample_many(137.0, 100)
+        vals = noise.sample_values(np.full(100, 137.0))
         assert np.allclose(vals % 10.0, 0.0)
 
     def test_never_rounds_to_zero(self, noise):
-        vals = noise.sample_many(3.8, 1000)
+        vals = noise.sample_values(np.full(1000, 3.8))
         assert vals.min() >= 10.0  # one quantum floor
 
     def test_outliers_present_but_rare(self):
         noise = NoiseModel(NoiseParams(outlier_p=0.01), seed=3)
-        vals = noise.sample_many(100.0, 20000)
+        vals = noise.sample_values(np.full(20000, 100.0))
         frac = np.mean(vals > 140.0)
         assert 0.001 < frac < 0.05
 
@@ -35,8 +35,9 @@ class TestSampling:
             noise.sample(-1.0)
 
     def test_scale_widens_spread(self):
-        a = NoiseModel(NoiseParams(), seed=3).sample_many(1000.0, 2000, scale=1.0)
-        b = NoiseModel(NoiseParams(), seed=3).sample_many(1000.0, 2000, scale=3.0)
+        true = np.full(2000, 1000.0)
+        a = NoiseModel(NoiseParams(), seed=3).sample_values(true, scale=1.0)
+        b = NoiseModel(NoiseParams(), seed=3).sample_values(true, scale=3.0)
         assert b.std() > 1.5 * a.std()
 
 
@@ -57,7 +58,8 @@ class TestBatchMean:
 
 
 class TestArrayKernels:
-    """The vectorized twins: one draw for a whole value vector/grid."""
+    """The vectorized twins: one draw for a whole value vector/grid (a
+    grid is ``sample_values`` on a broadcast array)."""
 
     def test_sample_values_shape_and_median(self, noise):
         true = np.full(4000, 140.0)
@@ -72,23 +74,20 @@ class TestArrayKernels:
 
     def test_sample_grid_rows_track_their_true_values(self, noise):
         true = np.array([100.0, 1000.0, 10000.0])
-        grid = noise.sample_grid(true, 2001)
+        grid = noise.sample_values(np.broadcast_to(true[:, None], (3, 2001)))
         assert grid.shape == (3, 2001)
         for row, t in zip(grid, true):
             assert np.median(row) == pytest.approx(t, rel=0.05)
 
     def test_sample_grid_deterministic_per_seed(self):
-        a = NoiseModel(NoiseParams(), seed=5).sample_grid(
-            np.array([50.0, 70.0]), 40
-        )
-        b = NoiseModel(NoiseParams(), seed=5).sample_grid(
-            np.array([50.0, 70.0]), 40
-        )
+        grid = np.broadcast_to(np.array([[50.0], [70.0]]), (2, 40))
+        a = NoiseModel(NoiseParams(), seed=5).sample_values(grid)
+        b = NoiseModel(NoiseParams(), seed=5).sample_values(grid)
         assert np.array_equal(a, b)
 
     def test_sample_grid_rejects_negative(self, noise):
         with pytest.raises(ValueError):
-            noise.sample_grid(np.array([-1.0]), 5)
+            noise.sample_values(np.broadcast_to(np.array([[-1.0]]), (1, 5)))
 
     def test_jitter_values_no_quantization_no_outliers(self):
         noise = NoiseModel(NoiseParams(outlier_p=0.0), seed=3)
