@@ -19,11 +19,7 @@ from repro.sim.program import (
     Program,
 )
 from repro.sim.engine import CompiledRun, Engine, RunResult
-from repro.sim.kernels import (
-    bandwidth_grid,
-    contention_makespans,
-    flag_wake_finishes,
-)
+from repro.sim.kernels import bandwidth_grid, contention_makespans
 from repro.sim.trace import Trace, TraceEvent
 from repro.sim.dataflow import (
     DataflowResult,
@@ -49,7 +45,6 @@ __all__ = [
     "RunResult",
     "bandwidth_grid",
     "contention_makespans",
-    "flag_wake_finishes",
     "Trace",
     "TraceEvent",
     "DataflowResult",

@@ -15,9 +15,13 @@ virtual time has already been registered.
 A run has two phases.  :meth:`Engine.compile` does everything that does
 not depend on noise, once per program set: it checks the set, resolves
 each thread's core, interns flag names to ints, finds each flag's one
-writer and prices every op noise-free through the machine's cost model.
-:meth:`Engine.replay` walks the resulting flat instruction lists and
-draws only the noise, in op order.  ``run(programs)`` is
+writer, prices every op noise-free through the machine's cost model and
+gives each noisy cost a fixed slot.  :meth:`Engine.replay` draws all of
+a run's noise at its start, one ``sample_values`` call over the sample
+slots and one ``jitter_values`` call over the jitter slots, and its loop
+only indexes into the drawn values.  Noise therefore comes in slot
+order, and the number of draws is fixed by the program set, not by the
+order events happen in.  ``run(programs)`` is
 ``replay(compile(programs))``; a caller that runs one fixed program set
 many times (a collective's episodes) compiles it once.
 """
@@ -28,12 +32,13 @@ import heapq
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.machine.coherence import MESIF
 from repro.machine.machine import KNLMachine
-from repro.sim.kernels import flag_wake_finishes
 from repro.sim.trace import Trace, TraceEvent
 from repro.sim.program import (
     Compute,
@@ -50,13 +55,15 @@ from repro.sim.program import (
 from repro.units import CACHE_LINE_BYTES, lines_in
 
 # Instruction op codes.  An instruction is a tuple headed by its code;
-# the costs it carries are noise-free.
-_JITTER = 0    # (code, ns): jitter only (Delay, Compute, MemWrite)
-_SAMPLE = 1    # (code, ns): one noise sample (LocalCopy, CopyFrom)
-_MEM_READ = 2  # (code, latency_ns, stream_ns)
-_WRITE = 3     # (code, flag, store_ns, visibility_ns)
-_POLL = 4      # (code, flag, flag_line_ns, payload_ns)
-_END = 5       # (code,): closes every thread's list
+# a slot is an index into the replay's value list, which holds 0.0 at
+# slot 0, the sample slots at 1, 2, ... and the jitter slots at -1,
+# -2, ... (so both kinds are numbered while a set is lowered).
+_COST = 0      # (code, slot): jitter for Delay, Compute, MemWrite;
+               # sample for LocalCopy, CopyFrom
+_MEM_READ = 1  # (code, latency_slot, stream_slot)
+_WRITE = 2     # (code, flag, store_slot, visibility_slot)
+_POLL = 3      # (code, flag, flag_line_slot, payload_ns, beta_slot)
+_END = 4       # (code,): closes every thread's list
 
 _END_INS = (_END,)
 _arrival = operator.itemgetter(0)
@@ -85,13 +92,16 @@ class CompiledRun:
     """A program set lowered by :meth:`Engine.compile` for one machine:
     per-thread instruction tuples (see the op codes above, each list
     closed by ``_END``), indexed like ``threads``; ``ops`` keeps the
-    source ops for trace events."""
+    source ops for trace events.  ``sampled`` and ``jittered`` hold the
+    noise-free value of each sample and jitter slot, in slot order."""
 
     machine: KNLMachine
     threads: Tuple[int, ...]
     code: Tuple[Tuple[tuple, ...], ...]
     ops: Tuple[Tuple[Op, ...], ...]
     flags: Tuple[str, ...]
+    sampled: np.ndarray
+    jittered: np.ndarray
 
 
 class Engine:
@@ -116,7 +126,8 @@ class Engine:
     def compile(self, programs: Sequence[Program]) -> CompiledRun:
         """Check and lower ``programs``; draws no noise, so a rejected
         set (duplicate or out-of-range thread, unknown op, a flag
-        written twice) leaves the machine's noise stream untouched."""
+        written twice, a negative op cost) leaves the machine's noise
+        stream untouched."""
         threads = tuple(p.thread for p in programs)
         if len(set(threads)) != len(threads):
             raise SimulationError("duplicate thread ids in program set")
@@ -135,34 +146,54 @@ class Engine:
                                 f"(again by thread {p.thread})"
                             )
                         writer_core[f] = core
+        sampled: List[float] = []
+        jittered: List[float] = []
+
+        def sample(ns: float) -> int:
+            sampled.append(ns)
+            return len(sampled)
+
+        def jitter(ns: float) -> int:
+            jittered.append(ns)
+            return -len(jittered)
+
         code = tuple(
-            tuple([self._lower(op, core, flag_ids, writer_core) for op in p.ops]
-                  + [_END_INS])
+            tuple([self._lower(op, core, flag_ids, writer_core, sample, jitter)
+                   for op in p.ops] + [_END_INS])
             for p, core in zip(programs, cores)
         )
+        lowest = min(sampled + jittered, default=0.0)
+        if lowest < 0:
+            raise SimulationError(f"negative op cost: {lowest} ns")
         return CompiledRun(
             machine=self.machine,
             threads=threads,
             code=code,
             ops=tuple(tuple(p.ops) for p in programs),
             flags=tuple(flag_ids),
+            sampled=np.array(sampled, dtype=float),
+            jittered=np.array(jittered, dtype=float),
         )
 
     def _lower(
         self, op: Op, core: int, flag_ids: Dict[str, int],
-        writer_core: Dict[int, int],
+        writer_core: Dict[int, int], sample: Callable[[float], int],
+        jitter: Callable[[float], int],
     ) -> tuple:
-        """One op as an instruction with its noise-free costs."""
+        """One op as an instruction; ``sample``/``jitter`` give each
+        noise-free cost its slot.  A zero flag visibility stays exactly
+        zero (slot 0), and a poll no writer serves gets no slot."""
         m = self.machine
         if isinstance(op, WriteFlag):
-            return (_WRITE, flag_ids[op.flag],
-                    m.flag_write_ns(op.n_pollers, noisy=False),
-                    m.flag_visibility_ns(op.n_pollers, op.cold, noisy=False))
+            store = sample(m.flag_write_ns(op.n_pollers, noisy=False))
+            visibility = m.flag_visibility_ns(op.n_pollers, op.cold, noisy=False)
+            return (_WRITE, flag_ids[op.flag], store,
+                    sample(visibility) if visibility else 0)
         if isinstance(op, PollFlag):
             f = flag_ids[op.flag]
             writer = writer_core.get(f)
             if writer is None:  # never served: the run deadlocks
-                return (_POLL, f, None, None)
+                return (_POLL, f, None, None, None)
             payload = 0.0
             if op.payload_bytes > CACHE_LINE_BYTES:
                 extra_lines = lines_in(op.payload_bytes) - 1
@@ -170,44 +201,48 @@ class Engine:
                     core, op.payload_state, writer, "copy", True
                 )
                 payload = extra_lines * CACHE_LINE_BYTES / bw
-            return (_POLL, f, m.line_transfer_true_ns(
-                core, MESIF.MODIFIED, writer), payload)
+            return (_POLL, f,
+                    sample(m.line_transfer_true_ns(core, MESIF.MODIFIED, writer)),
+                    payload, jitter(m.calibration.contention_beta))
         if isinstance(op, Delay):
-            return (_JITTER, op.ns)
+            return (_COST, jitter(op.ns))
         if isinstance(op, Compute):
-            return (_JITTER, lines_in(op.nbytes) * op.ns_per_line)
+            return (_COST, jitter(lines_in(op.nbytes) * op.ns_per_line))
         if isinstance(op, LocalCopy):
-            return (_SAMPLE, m.multiline_true_ns(
-                core, op.nbytes, MESIF.EXCLUSIVE, core, "copy"))
+            return (_COST, sample(m.multiline_true_ns(
+                core, op.nbytes, MESIF.EXCLUSIVE, core, "copy")))
         if isinstance(op, CopyFrom):
-            return (_SAMPLE, m.multiline_true_ns(
-                core, op.nbytes, op.state, op.owner_core, "copy", op.vectorized))
+            return (_COST, sample(m.multiline_true_ns(
+                core, op.nbytes, op.state, op.owner_core, "copy", op.vectorized)))
         if isinstance(op, MemRead):
-            return (_MEM_READ, m.memory_latency_true_ns(core, kind=op.kind),
-                    op.nbytes / 8.0)  # single-thread ~8 GB/s (§V-B)
+            return (_MEM_READ, sample(m.memory_latency_true_ns(core, kind=op.kind)),
+                    jitter(op.nbytes / 8.0))  # single-thread ~8 GB/s (§V-B)
         if isinstance(op, MemWrite):
-            return (_JITTER, op.nbytes / (8.0 if op.nt else 8.0 * 0.52))
+            return (_COST, jitter(op.nbytes / (8.0 if op.nt else 8.0 * 0.52)))
         raise SimulationError(f"unknown op {op!r}")
 
     def replay(self, compiled: CompiledRun) -> RunResult:
-        """Run a compiled program set once, drawing fresh noise."""
+        """Run a compiled program set once, drawing fresh noise: one
+        array draw over its sample slots, then one over its jitter
+        slots."""
         from repro.obs import counter
 
         if compiled.machine is not self.machine:
             raise SimulationError("program set was compiled for another machine")
         counter("sim.runs").inc()
-        noisy = self.noisy
-        sample = self.machine.noise.sample
-        jitter = self.machine.noise.jitter_only
-        beta = self.machine.calibration.contention_beta
+        sampled, jittered = compiled.sampled, compiled.jittered
+        if self.noisy:
+            noise = self.machine.noise
+            sampled = noise.sample_values(sampled)
+            jittered = noise.jitter_values(jittered)
+        value = [0.0, *sampled.tolist(), *jittered[::-1].tolist()]
         threads, code, ops = compiled.threads, compiled.code, compiled.ops
         n_flags = len(compiled.flags)
         pc = [0] * len(threads)
         set_time: List[Optional[float]] = [None] * n_flags
-        # Finish of the latest transfer in each flag's contention queue,
-        # and the number of transfers served so far (rank accounting).
+        # Finish of the latest transfer in each flag's contention queue
+        # (-inf until the first one: nothing to queue behind).
         queue_tail = [float("-inf")] * n_flags
-        served = [0] * n_flags
         # flag -> blocked (arrival, thread index, pc) in blocking order
         waiters: Dict[int, List[Tuple[float, int, int]]] = {}
         finished: Dict[int, float] = {}
@@ -224,35 +259,11 @@ class Engine:
             """Finish of one poller's transfer (flag + payload): the
             first reader pays the plain cache-to-cache cost; one whose
             transfer overlaps an in-flight one queues at β."""
-            base = sample(ins[2]) if noisy else ins[2]
-            finish = start + (base + ins[3])
-            if served[f] and queue_tail[f] > start:
-                finish = max(finish, queue_tail[f] + (jitter(beta) if noisy else beta))
+            finish = start + (value[ins[2]] + ins[3])
+            if queue_tail[f] > start:
+                finish = max(finish, queue_tail[f] + value[ins[4]])
             queue_tail[f] = finish
-            served[f] += 1
             return finish
-
-        def wake(f: int, flag_set: float, woken: list) -> None:
-            """Serve the threads blocked on flag ``f``, just set, in their
-            arrival (clock) order.  A wide wake (broadcast fan-out) draws
-            all waiters' noise through one array kernel; one waiter takes
-            the scalar path."""
-            woken.sort(key=_arrival)
-            starts = [max(w[0], flag_set) for w in woken]
-            polls = [code[w][wk] for _, w, wk in woken]
-            if len(woken) > 1:
-                finishes, queue_tail[f], served[f] = flag_wake_finishes(
-                    self.machine, starts, [p[2] for p in polls],
-                    [p[3] for p in polls], queue_tail[f], served[f], noisy,
-                )
-            else:
-                finishes = [serve(f, polls[0], starts[0])]
-            for (_, w, wk), start, finish in zip(woken, starts, finishes):
-                if events is not None:
-                    events.append(
-                        TraceEvent(threads[w], wk, ops[w][wk], start, finish))
-                pc[w] = wk + 1
-                heappush(heap, (finish, next(tiebreak), w))
 
         while heap:
             now, _, i = heappop(heap)
@@ -262,7 +273,9 @@ class Engine:
                 ins = prog[k]
                 kind = ins[0]
                 start = now
-                if kind == _POLL:
+                if kind == _COST:
+                    end = now + value[ins[1]]
+                elif kind == _POLL:
                     f = ins[1]
                     flag_set = set_time[f]
                     if flag_set is None:
@@ -271,21 +284,23 @@ class Engine:
                     if flag_set > now:
                         start = flag_set
                     end = serve(f, ins, start)
-                elif kind == _JITTER:
-                    end = now + (jitter(ins[1]) if noisy else ins[1])
-                elif kind == _SAMPLE:
-                    end = now + (sample(ins[1]) if noisy else ins[1])
                 elif kind == _WRITE:
                     f = ins[1]
-                    end = now + (sample(ins[2]) if noisy else ins[2])
-                    visible = sample(ins[3]) if noisy and ins[3] else ins[3]
-                    set_time[f] = flag_set = end + visible
+                    end = now + value[ins[2]]
+                    set_time[f] = flag_set = end + value[ins[3]]
                     woken = waiters.pop(f, None)
-                    if woken:
-                        wake(f, flag_set, woken)
+                    if woken:  # serve the blocked pollers in arrival order
+                        woken.sort(key=_arrival)
+                        for arrival, w, wk in woken:
+                            w_start = max(arrival, flag_set)
+                            w_end = serve(f, code[w][wk], w_start)
+                            if events is not None:
+                                events.append(TraceEvent(
+                                    threads[w], wk, ops[w][wk], w_start, w_end))
+                            pc[w] = wk + 1
+                            heappush(heap, (w_end, next(tiebreak), w))
                 elif kind == _MEM_READ:
-                    end = now + (sample(ins[1]) + jitter(ins[2])
-                                 if noisy else ins[1] + ins[2])
+                    end = now + (value[ins[1]] + value[ins[2]])
                 else:  # _END
                     finished[threads[i]] = now
                     break

@@ -1,8 +1,7 @@
 """Array kernels behind the microbenchmark inner loops.
 
 These pin the :mod:`repro.sim.kernels` sweeps: shapes, determinism for
-a fixed seed, the noise-free queue recurrence of the flag wake path,
-and the validation errors.
+a fixed seed and the validation errors.
 """
 
 import numpy as np
@@ -11,11 +10,7 @@ import pytest
 from repro.errors import BenchmarkError
 from repro.machine import KNLMachine
 from repro.machine.coherence import MESIF
-from repro.sim.kernels import (
-    bandwidth_grid,
-    contention_makespans,
-    flag_wake_finishes,
-)
+from repro.sim.kernels import bandwidth_grid, contention_makespans
 
 
 def fresh_machine(seed=7, noise=True):
@@ -71,56 +66,3 @@ class TestBandwidthGrid:
                 machine, 0, [], MESIF.MODIFIED, None, "read", False, 5
             )
 
-
-class TestFlagWakeFinishes:
-    def test_empty_batch_is_a_noop(self, machine):
-        finishes, tail, served = flag_wake_finishes(
-            machine, [], [], [], queue_tail=17.0, served=3, noisy=True
-        )
-        assert finishes == [] and tail == 17.0 and served == 3
-
-    def test_noise_free_queue_recurrence(self):
-        """With noise off the kernel is exactly the serial recurrence
-        finish_i = max(start_i + base_i + extra_i, tail + beta)."""
-        m = fresh_machine(noise=False)
-        beta = m.calibration.contention_beta
-        starts = [0.0, 1.0, 2.0]
-        base = [100.0, 100.0, 100.0]
-        extra = [0.0, 10.0, 0.0]
-        finishes, tail, served = flag_wake_finishes(
-            m, starts, base, extra, queue_tail=0.0, served=0, noisy=False
-        )
-        expect = []
-        t, s = 0.0, 0
-        for st, b, e in zip(starts, base, extra):
-            solo = st + b + e
-            f = solo if (s == 0 or t <= st) else max(solo, t + beta)
-            expect.append(f)
-            t, s = f, s + 1
-        assert finishes == expect
-        assert tail == expect[-1]
-        assert served == 3
-
-    def test_contended_waiters_serialize_behind_the_tail(self):
-        """A deep queue: each finish is no earlier than its
-        predecessor (the contention queue never reorders)."""
-        m = fresh_machine(seed=5)
-        k = 16
-        finishes, tail, served = flag_wake_finishes(
-            m, [0.0] * k, [50.0] * k, [0.0] * k,
-            queue_tail=1000.0, served=4, noisy=True,
-        )
-        assert served == 4 + k
-        assert finishes == sorted(finishes)
-        assert tail == finishes[-1]
-
-    def test_deterministic_per_seed(self):
-        a = flag_wake_finishes(
-            fresh_machine(seed=9), [0.0, 5.0], [80.0, 80.0], [0.0, 0.0],
-            queue_tail=0.0, served=0, noisy=True,
-        )
-        b = flag_wake_finishes(
-            fresh_machine(seed=9), [0.0, 5.0], [80.0, 80.0], [0.0, 0.0],
-            queue_tail=0.0, served=0, noisy=True,
-        )
-        assert a == b
