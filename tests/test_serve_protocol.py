@@ -78,12 +78,25 @@ class TestReadRequest:
         assert exc.value.status == 400
 
     def test_bad_content_length_is_a_400(self):
-        for value in (b"banana", b"-3"):
+        # RFC 9110 allows ASCII digits only: int() would take "1_0" and
+        # "+10" (the 10-byte body makes either a complete request), and
+        # str.isdigit the latin-1 "\xb2".
+        for value in (b"banana", b"-3", b"1_0", b"+10", b"\xb2", b"1\xb2"):
             with pytest.raises(ProtocolError) as exc:
                 parse(
-                    b"POST / HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n"
+                    b"POST / HTTP/1.1\r\nContent-Length: "
+                    + value
+                    + b"\r\n\r\n0123456789"
                 )
             assert exc.value.status == 400
+
+    @pytest.mark.parametrize(
+        "target", ["http://[::1/", "http://::1]/", "//[v1.x/path"]
+    )
+    def test_malformed_target_is_a_400(self, target):
+        with pytest.raises(ProtocolError) as exc:
+            parse(f"GET {target} HTTP/1.1\r\n\r\n".encode())
+        assert exc.value.status == 400
 
     def test_oversized_body_is_a_413(self):
         with pytest.raises(ProtocolError) as exc:
