@@ -11,7 +11,6 @@ Examples::
     python -m repro run fig9 --trace t.json     # + Perfetto trace of the run
     python -m repro trace t.json                # summarize a trace file
     python -m repro serve --port 8080           # query service (docs/SERVING.md)
-    python -m repro loadgen --self-host         # drive it closed-loop
     python -m repro lint --baseline             # static analysis (docs/LINTING.md)
     python -m repro machines list               # hardware catalog (docs/MACHINES.md)
     python -m repro store list                  # artifact store (docs/STORE.md)
@@ -39,11 +38,12 @@ import sys
 from typing import List, Optional
 
 from repro._version import __version__
+from repro.errors import ReproError
 from repro.experiments import all_ids, get
 
 #: Subcommands with their own flag namespace, dispatched before the main
 #: parser sees the argv (``--port`` etc. would be unknown flags to it).
-_SUBCOMMANDS = ("serve", "loadgen", "lint", "machines", "store")
+_SUBCOMMANDS = ("serve", "lint", "machines", "store")
 
 
 def _flag(kind, ok, rule: str):
@@ -75,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment id (see --list), 'all'/'suite' (everything), "
              "'run <ids...>' (several), 'report' (render archived "
              "--save-dir results as markdown), 'trace <file>' "
-             "(summarize a --trace output), 'serve'/'loadgen' (the "
-             "query service), 'lint' (static analysis), 'machines' "
+             "(summarize a --trace output), 'serve' (the query "
+             "service), 'lint' (static analysis), 'machines' "
              "(the hardware catalog), 'store' (the versioned artifact "
              "store) — each with its own --help — or 'version'",
     )
@@ -199,8 +199,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] in _SUBCOMMANDS:
-        # serve/loadgen own their flag namespace; hand the rest over
-        # before the experiment parser rejects --port & friends.
+        # Each owns its flag namespace; hand the rest over before the
+        # experiment parser rejects --port & friends.
         if argv[0] == "serve":
             from repro.serve.app import main_serve
 
@@ -213,13 +213,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             from repro.machines.cli import main_machines
 
             return main_machines(argv[1:])
-        if argv[0] == "store":
-            from repro.store.cli import main_store
+        from repro.store.cli import main_store
 
-            return main_store(argv[1:])
-        from repro.serve.loadgen import main_loadgen
-
-        return main_loadgen(argv[1:])
+        return main_store(argv[1:])
     if argv and argv[0] == "version":
         print(f"repro-knl {__version__}")
         return 0
@@ -258,7 +254,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         ids = [args.experiment, *args.targets]
     # Resolve runners up front: unknown ids fail before any work is done.
     for eid in ids:
-        get(eid)
+        try:
+            get(eid)
+        except ReproError as e:
+            parser.error(str(e))
 
     if args.trace:
         from repro.obs import enable_tracing

@@ -14,7 +14,6 @@ is arithmetic.  This package serves that asymmetry at scale:
 * :mod:`~repro.serve.app` — the asyncio HTTP server: ``/v1/predict``,
   ``/v1/advise``, ``/v1/tune``, ``/healthz``, ``/metrics``;
 * :mod:`~repro.serve.protocol` — stdlib-only HTTP/1.1 framing + client;
-* :mod:`~repro.serve.loadgen` — closed-loop load generator;
 * :mod:`~repro.serve.fleet` / :mod:`~repro.serve.router` — the prefork
   worker fleet (``repro serve --workers N``): a consistent-hash routing
   front end over N serving processes, with health-checked
@@ -51,12 +50,6 @@ from repro.serve.artifacts import (
 )
 from repro.serve.batcher import AdmissionError, BatcherClosed, MicroBatcher
 from repro.serve.fleet import Fleet, FleetConfig, run_fleet
-from repro.serve.loadgen import (
-    LoadgenResult,
-    default_body,
-    run_loadgen,
-    write_bench,
-)
 from repro.serve.protocol import (
     ClientConnection,
     ProtocolError,
@@ -79,7 +72,6 @@ __all__ = [
     "Fleet",
     "FleetConfig",
     "HashRing",
-    "LoadgenResult",
     "MachineRef",
     "MicroBatcher",
     "ProtocolError",
@@ -89,10 +81,7 @@ __all__ = [
     "ServeConfig",
     "WorkerClient",
     "config_from_json",
-    "default_body",
     "http_request",
     "read_request",
     "run_fleet",
-    "run_loadgen",
-    "write_bench",
 ]

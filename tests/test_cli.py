@@ -83,11 +83,28 @@ class TestMain:
         assert "fig4" in out
         assert "paper" in out.lower() or "remote" in out.lower()
 
-    def test_unknown_experiment(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
+    def test_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["fig99"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'fig99'; known: [" in err
+        assert "'fig4'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loadgen"],
+            ["loadgen", "--self-host", "--concurrency", "64"],
+            ["cache", "stress"],
+        ],
+        ids="-".join,
+    )
+    def test_removed_subcommand_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: repro-knl" in capsys.readouterr().err
 
     def test_runs_with_jobs_and_save_dir(self, tmp_path, capsys):
         save = tmp_path / "archive"
@@ -232,7 +249,7 @@ class TestVersion:
 
 
 class TestServeDispatch:
-    """`repro serve` / `repro loadgen` own their flag namespaces."""
+    """`repro serve` owns its flag namespace."""
 
     def test_serve_help_reaches_the_serve_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -240,13 +257,6 @@ class TestServeDispatch:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--window-ms" in out and "--queue-limit" in out
-
-    def test_loadgen_help_reaches_the_loadgen_parser(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["loadgen", "--help"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert "--self-host" in out and "--concurrency" in out
 
     def test_serve_rejects_unknown_flags_with_its_own_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

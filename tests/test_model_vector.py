@@ -24,7 +24,7 @@ from repro.model.vector import (
     multiline_curve,
     predict_one,
 )
-from repro.serve.loadgen import DEFAULT_PREDICT_BODY
+from tests.closed_loop import PREDICT_GRID_BODY
 
 #: The §VII grid *densified*: the full contention curve (n = 1..256, one
 #: point per thread count) plus the multi-line transfer curve at
@@ -33,7 +33,7 @@ from repro.serve.loadgen import DEFAULT_PREDICT_BODY
 #: compiled plan exists for.
 DENSE_PREDICT_BODY = {
     "queries": [
-        *DEFAULT_PREDICT_BODY["queries"][:-4],  # drop the sparse curve
+        *PREDICT_GRID_BODY["queries"][:-4],  # drop the sparse curve
         *[{"metric": "contention", "n": n} for n in range(1, 257)],
         *[
             {"metric": "multiline", "location": loc, "bytes": 64 * i}

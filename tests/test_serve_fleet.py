@@ -27,7 +27,6 @@ from repro.serve.fleet import (
     FleetConfig,
     fleet_config_from_args,
 )
-from repro.serve.loadgen import run_loadgen
 from repro.serve.protocol import (
     ROUTES,
     ClientConnection,
@@ -35,6 +34,7 @@ from repro.serve.protocol import (
     http_request,
 )
 from repro.serve.router import HashRing, WorkerClient
+from tests.closed_loop import closed_loop
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -306,10 +306,8 @@ class TestFleetServing:
             fleet = make_fleet(capability)
             host, port = await fleet.start()
             try:
-                burst = await run_loadgen(
-                    host, port,
-                    endpoint="/v1/predict",
-                    body=PREDICT_BODY,
+                burst = await closed_loop(
+                    host, port, "/v1/predict", [PREDICT_BODY],
                     concurrency=concurrency,
                     requests=64,
                 )
@@ -345,10 +343,8 @@ class TestFleetServing:
                     {"queries": [{"metric": "contention", "n": n}]}
                     for n in range(1, 33)
                 ]
-                burst = await run_loadgen(
-                    host, port,
-                    endpoint="/v1/predict",
-                    bodies=bodies,
+                burst = await closed_loop(
+                    host, port, "/v1/predict", bodies,
                     concurrency=concurrency,
                     requests=64,
                 )
@@ -428,10 +424,8 @@ class TestFleetSupervision:
                 assert status == 200 and health["status"] == "ok"
 
                 # The ring has the replacement; queries flow again.
-                burst = await run_loadgen(
-                    host, port,
-                    endpoint="/v1/predict",
-                    body=PREDICT_BODY,
+                burst = await closed_loop(
+                    host, port, "/v1/predict", [PREDICT_BODY],
                     concurrency=8,
                     requests=32,
                 )
@@ -450,10 +444,8 @@ class TestFleetSupervision:
             host, port = await fleet.start()
             try:
                 load = asyncio.create_task(
-                    run_loadgen(
-                        host, port,
-                        endpoint="/v1/predict",
-                        body=PREDICT_BODY,
+                    closed_loop(
+                        host, port, "/v1/predict", [PREDICT_BODY],
                         concurrency=8,
                         requests=128,
                     )
@@ -600,10 +592,8 @@ class TestFleetReload:
             host, port = await fleet.start()
             try:
                 load = asyncio.create_task(
-                    run_loadgen(
-                        host, port,
-                        endpoint="/v1/predict",
-                        bodies=distinct_bodies(96),
+                    closed_loop(
+                        host, port, "/v1/predict", distinct_bodies(96),
                         concurrency=16,
                         requests=768,
                     )
