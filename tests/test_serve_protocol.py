@@ -107,6 +107,30 @@ class TestReadRequest:
             )
         assert exc.value.status == 413
 
+    @pytest.mark.parametrize(
+        "lengths", [(b"3", b"10"), (b"10", b"3"), (b"10", b"10")],
+        ids=["3-then-10", "10-then-3", "10-twice"],
+    )
+    def test_repeated_content_length_is_a_400(self, lengths):
+        """RFC 9112 §6.3: differing or repeated lengths are a 400 before
+        any body is read, whichever of them a parser would pick."""
+        head = b"POST / HTTP/1.1\r\n" + b"".join(
+            b"Content-Length: " + n + b"\r\n" for n in lengths
+        )
+        with pytest.raises(ProtocolError) as exc:
+            parse(head + b"\r\n0123456789")
+        assert exc.value.status == 400
+
+    @pytest.mark.parametrize("encoding", [b"chunked", b"identity", b""])
+    def test_content_length_with_transfer_encoding_is_a_400(self, encoding):
+        with pytest.raises(ProtocolError) as exc:
+            parse(
+                b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
+                b"Transfer-Encoding: " + encoding + b"\r\n\r\n"
+                b"abc"
+            )
+        assert exc.value.status == 400
+
     def test_chunked_transfer_is_rejected(self):
         with pytest.raises(ProtocolError, match="Content-Length"):
             parse(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
