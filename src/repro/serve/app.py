@@ -105,8 +105,9 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    #: Micro-batch window [s], finite and >= 0; 0 flushes on the next
-    #: event-loop tick instead of waiting for company.
+    #: Longest a micro-batch waits [s], finite and >= 0: a batch that
+    #: holds every model request read so far flushes on the next
+    #: event-loop tick anyway; 0 never waits for company.
     window_s: float = 0.002
     max_batch: int = 64
     queue_limit: int = 256
@@ -415,6 +416,9 @@ class ServeApp:
         )
 
     async def _query(self, request: Request) -> Response:
+        # Reached in the same loop step that read the request: announce
+        # it, so the open batch waits for it instead of flushing without.
+        ticket = self.batcher.expect()
         route = request.route
         # Dedup key: the raw wire bytes' content key.  Byte-identical
         # queries — the coalescing case that matters — always collide;
@@ -426,7 +430,7 @@ class ServeApp:
         )
         try:
             outcome = await asyncio.wait_for(
-                self.batcher.submit(key, item), timeout=deadline
+                self.batcher.submit(key, item, ticket), timeout=deadline
             )
         except AdmissionError as e:
             return Response.error(
@@ -452,6 +456,11 @@ class ServeApp:
             return Response.error(
                 504, f"deadline of {deadline:g}s exceeded for {route}"
             )
+        finally:
+            # wait_for runs submit in a task of its own; one cancelled
+            # before its first step (a zero deadline, shutdown) never
+            # retired the ticket.
+            self.batcher.retire(ticket)
         return outcome.response()
 
     # -- batch evaluation ---------------------------------------------------
@@ -864,7 +873,7 @@ def build_serve_parser():
     batching = p.add_argument_group("micro-batching")
     batching.add_argument(
         "--window-ms", type=_window_ms, default=2.0, metavar="MS",
-        help="coalescing window (default 2 ms)",
+        help="longest a batch waits (default 2 ms)",
     )
     batching.add_argument(
         "--batch-cap", type=_count, default=64, metavar="N",

@@ -10,7 +10,10 @@ query service: N worker processes each run a complete
 routes every POST by the query's SHA-256 content key over the
 :class:`~repro.serve.router.HashRing` — identical queries always land
 on the same worker, so dedup and single-flight keep paying off
-fleet-wide instead of being diluted across processes.
+fleet-wide instead of being diluted across processes.  The front end
+single-flights too: an identical query already being relayed shares
+that relay's answer (``serve.fleet.deduped``), so a burst of one query
+reaches its worker as a few requests, however its arrivals spread.
 
 Supervision mirrors :mod:`repro.runtime.supervisor`: the front end
 probes each worker's ``/healthz``, declares a worker down after
@@ -44,6 +47,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.cache import AsyncSingleFlight
 from repro.errors import ConfigurationError, ReproError
 from repro.obs import counter, gauge, histogram, metrics_snapshot, span
 from repro.runtime.pool import _mp_context
@@ -209,6 +213,8 @@ class Fleet:
         self._active_requests = 0
         self._draining = False
         self._spawned = 0
+        #: Relays in flight by content key: identical queries share one.
+        self._relays = AsyncSingleFlight()
         #: One handler per route of :data:`~repro.serve.protocol.ROUTES`;
         #: model queries relay to their content key's worker.
         self._routes = {
@@ -637,8 +643,17 @@ class Fleet:
         return None
 
     async def _forward(self, request: Request) -> Response:
-        """Relay one POST to the content key's owner, rerouting once."""
+        """Relay one POST to the content key's owner, sharing the answer
+        of an identical relay already in flight."""
         key = content_key(request.route, request.body)
+        return await self._relays.do(
+            key,
+            functools.partial(self._relay, request, key),
+            on_join=counter("serve.fleet.deduped").inc,
+        )
+
+    async def _relay(self, request: Request, key: str) -> Response:
+        """Relay one POST to the content key's owner, rerouting once."""
         deadline = self.config.worker.deadlines.get(
             request.route, DEFAULT_DEADLINES.get(request.route, 30.0)
         )

@@ -8,6 +8,7 @@ in-memory speed.
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -332,6 +333,85 @@ class TestBatchingAcceptance:
         assert burst.no_answer == 0
 
 
+class TestEarlyFlush:
+    """A batch that holds every model request the server has read
+    flushes at once; the window is only the upper bound."""
+
+    def test_lone_request_does_not_wait_out_the_window(
+        self, snc4_flat_config, capability
+    ):
+        app = make_app(snc4_flat_config, capability, window_s=0.2)
+        body = {"queries": [{"metric": "contention", "n": 3}]}
+
+        async def client(host, port):
+            conn = ClientConnection(host, port)
+            try:
+                await conn.request("GET", "/healthz")  # connected
+                t0 = time.perf_counter()  # repro: noqa[DET001] — latency bound, not a result
+                status, _, _ = await conn.request("POST", "/v1/predict", body)
+                return status, time.perf_counter() - t0  # repro: noqa[DET001] — latency bound, not a result
+            finally:
+                await conn.close()
+
+        status, elapsed = serve(app, client)
+        assert status == 200
+        assert elapsed < 0.1, f"a lone request took {elapsed * 1e3:.0f} ms"
+
+    def test_non_model_routes_never_hold_a_batch(
+        self, snc4_flat_config, capability
+    ):
+        """``/healthz``, ``/metrics`` and ``/v1/machines`` requests read
+        alongside a predict are not waited for."""
+        app = make_app(snc4_flat_config, capability, window_s=5.0)
+        body = {"queries": [{"metric": "contention", "n": 5}]}
+
+        async def client(host, port):
+            async def timed_predict():
+                t0 = time.perf_counter()  # repro: noqa[DET001] — latency bound, not a result
+                status, _, _ = await http_request(
+                    host, port, "POST", "/v1/predict", body
+                )
+                return status, time.perf_counter() - t0  # repro: noqa[DET001] — latency bound, not a result
+
+            side = [
+                http_request(host, port, "GET", path)
+                for path in ("/healthz", "/metrics", "/v1/machines") * 4
+            ]
+            results = await asyncio.gather(timed_predict(), *side)
+            return results[0], [status for status, _, _ in results[1:]]
+
+        (status, elapsed), side_statuses = serve(app, client)
+        assert status == 200 and side_statuses == [200] * 12
+        assert elapsed < 1.0, f"the predict waited {elapsed:.2f}s"
+
+    def test_request_that_never_reaches_submit_holds_nothing(
+        self, snc4_flat_config, capability
+    ):
+        """A zero deadline cancels the submit before it runs; its
+        announcement is withdrawn, so the next request is not held."""
+        app = make_app(
+            snc4_flat_config,
+            capability,
+            window_s=5.0,
+            deadlines={**DEFAULT_DEADLINES, "/v1/predict": 0.0},
+        )
+
+        async def client(host, port):
+            expired, _, _ = await http_request(
+                host, port, "POST", "/v1/predict",
+                {"queries": [{"metric": "contention", "n": 2}]},
+            )
+            t0 = time.perf_counter()  # repro: noqa[DET001] — latency bound, not a result
+            status, _, _ = await http_request(
+                host, port, "POST", "/v1/tune", {"target": "barrier", "n": 8}
+            )
+            return expired, status, time.perf_counter() - t0  # repro: noqa[DET001] — latency bound, not a result
+
+        expired, status, elapsed = serve(app, client)
+        assert (expired, status) == (504, 200)
+        assert elapsed < 1.0, f"the tune waited {elapsed:.2f}s"
+
+
 class TestAdmissionAcceptance:
     def test_overload_sheds_with_429_and_healthz_stays_up(
         self, snc4_flat_config, capability
@@ -354,11 +434,15 @@ class TestAdmissionAcceptance:
                     timeout=30.0,
                 )
 
+            # A request announced as read but never submitted keeps each
+            # batch open for the whole window, as a slow sender would.
+            held = app.batcher.expect()
             burst = asyncio.gather(*(one(i) for i in range(128)))
             health_status, _, _ = await http_request(
                 host, port, "GET", "/healthz"
             )
             responses = await burst
+            app.batcher.retire(held)
             return responses, health_status
 
         responses, health_status = serve(app, client)
@@ -512,6 +596,9 @@ class TestShutdown:
 
         async def go():
             host, port = await app.start()
+            # An announced request that never arrives holds the batch
+            # open: nothing flushes before the window or the drain.
+            app.batcher.expect()
             inflight = [
                 asyncio.create_task(
                     http_request(
@@ -525,6 +612,7 @@ class TestShutdown:
             # All eight are sitting in the 200 ms batching window when
             # the drain begins.
             await asyncio.sleep(0.05)
+            assert not any(task.done() for task in inflight)
             await app.stop()
             return await asyncio.gather(*inflight)
 

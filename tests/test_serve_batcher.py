@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
+from repro.obs import metrics_snapshot, reset_metrics
 from repro.serve.batcher import AdmissionError, BatcherClosed, MicroBatcher
 
 
@@ -122,6 +123,138 @@ class TestCoalescing:
             return result
 
         assert run(go()) == "result:p"
+
+
+class TestEarlyFlush:
+    """The open batch flushes once it holds every announced request —
+    nothing else can join it — and ``window_s`` is only the upper
+    bound."""
+
+    def test_lone_submit_does_not_wait_out_the_window(self):
+        rec = Recorder()
+
+        async def go():
+            b = MicroBatcher(rec, window_s=5.0)
+            t0 = time.perf_counter()  # repro: noqa[DET001] — latency bound, not a result
+            result = await b.submit("k", "p")
+            elapsed = time.perf_counter() - t0  # repro: noqa[DET001] — latency bound, not a result
+            await b.close()
+            return result, elapsed
+
+        result, elapsed = run(go())
+        assert result == "result:p"
+        assert elapsed < 1.0, f"a lone request waited {elapsed:.2f}s"
+
+    def test_announced_request_holds_the_batch_until_it_joins(self):
+        rec = Recorder()
+
+        async def go():
+            b = MicroBatcher(rec, window_s=5.0)
+            ticket = b.expect()  # read, not yet submitted
+            first = asyncio.create_task(b.submit("a", "pa"))
+            await asyncio.sleep(0.05)
+            held = not first.done() and not rec.batches
+            t0 = time.perf_counter()  # repro: noqa[DET001] — latency bound, not a result
+            second = await b.submit("b", "pb", ticket)
+            elapsed = time.perf_counter() - t0  # repro: noqa[DET001] — latency bound, not a result
+            results = (await first, second)
+            await b.close()
+            return held, results, elapsed
+
+        held, results, elapsed = run(go())
+        assert held, "the batch flushed while an announced request was out"
+        assert results == ("result:pa", "result:pb")
+        assert elapsed < 1.0
+        assert len(rec.batches) == 1 and set(rec.batches[0]) == {"a", "b"}
+
+    def test_announced_before_the_scheduled_flush_runs_still_joins(self):
+        """The next-tick flush re-checks: a request read in the tick
+        between the last submit and the flush holds the batch too."""
+        rec = Recorder()
+
+        async def go():
+            b = MicroBatcher(rec, window_s=5.0)
+            first = asyncio.create_task(b.submit("a", "pa"))
+            await asyncio.sleep(0)  # "a" joined; a flush is scheduled
+            ticket = b.expect()
+            await asyncio.sleep(0.05)
+            held = not first.done()
+            second = await b.submit("b", "pb", ticket)
+            results = (await first, second)
+            await b.close()
+            return held, results
+
+        held, results = run(go())
+        assert held
+        assert results == ("result:pa", "result:pb")
+        assert len(rec.batches) == 1 and set(rec.batches[0]) == {"a", "b"}
+
+    def test_request_answered_without_submit_never_holds_a_batch(self):
+        """A ``/healthz``-style request is never announced; one that was
+        but never reaches ``submit`` (a deadline of zero, shutdown)
+        retires its ticket, and the open batch flushes at once."""
+        rec = Recorder()
+
+        async def go():
+            b = MicroBatcher(rec, window_s=5.0)
+            ticket = b.expect()
+            waiter = asyncio.create_task(b.submit("k", "p"))
+            await asyncio.sleep(0.01)
+            held = not waiter.done()
+            t0 = time.perf_counter()  # repro: noqa[DET001] — latency bound, not a result
+            b.retire(ticket)
+            b.retire(ticket)  # idempotent
+            result = await waiter
+            elapsed = time.perf_counter() - t0  # repro: noqa[DET001] — latency bound, not a result
+            await b.close()
+            return held, result, elapsed
+
+        held, result, elapsed = run(go())
+        assert held and result == "result:p"
+        assert elapsed < 1.0
+
+    def test_single_flight_rider_does_not_hold_the_batch(self):
+        """A request riding a running evaluation retires its ticket on
+        ``submit``: the next open batch flushes without waiting."""
+        rec = Recorder(delay_s=0.05)
+
+        async def go():
+            b = MicroBatcher(rec, window_s=5.0)
+            running = asyncio.create_task(b.submit("k", "p"))
+            await asyncio.sleep(0.01)  # "k" is evaluating
+            rider, other = b.expect(), b.expect()
+            riding = asyncio.create_task(b.submit("k", "p", rider))
+            t0 = time.perf_counter()  # repro: noqa[DET001] — latency bound, not a result
+            late = await b.submit("j", "q", other)
+            elapsed = time.perf_counter() - t0  # repro: noqa[DET001] — latency bound, not a result
+            results = (await running, await riding, late)
+            await b.close()
+            return results, elapsed
+
+        results, elapsed = run(go())
+        assert results == ("result:p", "result:p", "result:q")
+        assert elapsed < 1.0
+        assert rec.evaluated == 2
+
+    def test_window_metric_counts_batch_members_not_riders(self):
+        """``serve.batch.window_ms``: one sample per request that joined
+        a flushed batch (dedup riders included), none for a request that
+        rode a running evaluation."""
+        reset_metrics()
+        rec = Recorder(delay_s=0.05)
+
+        async def go():
+            b = MicroBatcher(rec, window_s=0.01)
+            first = asyncio.gather(b.submit("k", "p"), b.submit("k", "p"))
+            await asyncio.sleep(0.02)  # flushed; "k" is evaluating
+            await b.submit("k", "p")  # single-flight rider
+            await first
+            await b.close()
+
+        run(go())
+        metrics = metrics_snapshot()
+        assert metrics["serve.batch.window_ms"]["count"] == 2
+        assert metrics["serve.queue.wait_ms"]["count"] == 3
 
 
 class TestAdmission:
@@ -247,6 +380,8 @@ class TestTaskReferences:
 
         async def go():
             b = MicroBatcher(rec, window_s=5.0)
+            # An announced request still on its way keeps the batch open.
+            b.expect()
             waiter = asyncio.create_task(b.submit("k", "p"))
             await asyncio.sleep(0.01)  # timer armed, window wide open
             assert b._timer is not None

@@ -20,6 +20,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
+from repro.obs import reset_metrics
 from repro.serve.app import ServeApp, ServeConfig, build_serve_parser
 from repro.serve.fleet import (
     UP,
@@ -190,6 +191,11 @@ def make_fleet(capability, workers=2, **fleet_kw):
 
 
 PREDICT_BODY = {"queries": [{"metric": "latency", "location": "local"}]}
+#: A request that stays in flight for a long while: the empirical barrier
+#: autotune runs benchmark episodes on the simulated machine (~0.8 s on
+#: a 2-vCPU container).
+SLOW_TUNE_BODY = {"target": "barrier", "n": 64, "measured": True,
+                  "iterations": 100}
 
 
 #: Every (route, wrong method) pair of the route table, plus one route
@@ -326,6 +332,35 @@ class TestFleetServing:
                 # And the owner coalesced them (the PR 3 acceptance
                 # bound, now holding across the fleet).
                 assert evaluated[busy[0]] <= 8
+            finally:
+                await fleet.stop()
+
+        run(go())
+
+    def test_identical_queries_in_flight_share_one_relay(self, capability):
+        """The front end single-flights: each request of an identical
+        burst is either relayed to the owner or shares the answer of a
+        relay already in flight, and some share."""
+        reset_metrics()  # the front end's counters live in this process
+
+        async def go():
+            fleet = make_fleet(capability)
+            host, port = await fleet.start()
+            try:
+                burst = await closed_loop(
+                    host, port, "/v1/predict", [PREDICT_BODY],
+                    concurrency=32,
+                    requests=32,
+                )
+                assert burst.status_counts == {200: 32}
+                _, _, doc = await http_request(host, port, "GET", "/metrics")
+                shared = doc["metrics"]["serve.fleet.deduped"]["value"]
+                relayed = sum(
+                    w["metrics"].get("serve.batch.requests", {}).get("value", 0)
+                    for w in doc["workers"].values()
+                )
+                assert shared > 0
+                assert relayed + shared == 32, (relayed, shared)
             finally:
                 await fleet.stop()
 
@@ -478,15 +513,24 @@ class TestFleetSupervision:
 
 
 class TestFleetDrain:
-    def test_stop_completes_inflight_requests(self, capability):
+    def test_stop_completes_inflight_requests(self, capability, monkeypatch):
         """SIGTERM-drain semantics: every request accepted before the
         drain begins is answered, none dropped."""
+        real = ServeApp._evaluate_batch
+
+        async def gated(self, batch):
+            # Every batch evaluates for 0.3 s, so the requests are truly
+            # in flight when the drain begins (forked workers inherit it).
+            await asyncio.sleep(0.3)
+            return await real(self, batch)
+
+        monkeypatch.setattr(ServeApp, "_evaluate_batch", gated)
 
         async def go():
             fleet = make_fleet(
                 capability,
                 worker=ServeConfig(
-                    window_s=0.1,  # widen so requests are truly in flight
+                    window_s=0.1,
                     persist_artifacts=False,
                 ),
             )
@@ -503,6 +547,7 @@ class TestFleetDrain:
             ]
             # Let every connection establish and submit, then drain.
             await asyncio.sleep(0.05)
+            assert not any(task.done() for task in inflight)
             await fleet.stop()
             responses = await asyncio.gather(*inflight)
             assert [status for status, _, _ in responses] == [200] * 16
@@ -653,7 +698,6 @@ class TestCliSignalDrain:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--port", "0", "--iterations", "3", "--no-persist",
-                "--window-ms", "150",
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -681,8 +725,8 @@ class TestCliSignalDrain:
                                                   timeout=30)
                 try:
                     conn.request(
-                        "POST", "/v1/predict",
-                        body=json.dumps(PREDICT_BODY),
+                        "POST", "/v1/tune",
+                        body=json.dumps(SLOW_TUNE_BODY),
                         headers={"Content-Type": "application/json"},
                     )
                     outcome["status"] = conn.getresponse().status
@@ -691,9 +735,11 @@ class TestCliSignalDrain:
 
             t = threading.Thread(target=request)
             t.start()
-            # The 150 ms batching window guarantees the request is still
-            # in flight when the signal lands.
+            # A measured tune runs benchmark episodes for far longer
+            # than 50 ms, so the request is still in flight when the
+            # signal lands.
             time.sleep(0.05)
+            assert "status" not in outcome, "answered before the signal"
             proc.send_signal(signal.SIGTERM)
             t.join(timeout=30)
             out, _ = proc.communicate(timeout=30)

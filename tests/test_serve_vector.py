@@ -245,9 +245,13 @@ class TestBatchShapes:
         app = make_app(snc4_flat_config, capability, window_s=0.05)
 
         async def client(host, port):
+            # An announced request that never arrives holds the batch
+            # open for the window, so both bodies ride one batch.
+            held = app.batcher.expect()
             served = await asyncio.gather(
                 raw_post(host, port, good), raw_post(host, port, huge)
             )
+            app.batcher.retire(held)
             health, _, _ = await http_request(host, port, "GET", "/healthz")
             return served, health
 
@@ -283,9 +287,12 @@ class TestBatchShapes:
         app = make_app(snc4_flat_config, capability, window_s=0.05)
 
         async def client(host, port):
+            # As above: the held window makes both bodies one batch.
+            held = app.batcher.expect()
             served = await asyncio.gather(
                 raw_post(host, port, good), raw_post(host, port, bad)
             )
+            app.batcher.retire(held)
             _, _, m = await http_request(host, port, "GET", "/metrics")
             return served, m["metrics"]
 
@@ -313,6 +320,9 @@ class TestCancelledWaiter:
         async def go():
             await app.start()
             try:
+                # A third request announced as read but never submitted
+                # keeps the batch open for the whole window.
+                app.batcher.expect()
                 doomed = asyncio.create_task(
                     app.batcher.submit("shared", dict(item))
                 )
