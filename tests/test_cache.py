@@ -149,6 +149,49 @@ class TestCacheIndex:
         assert len(index.load()) == 40
 
 
+class TestCacheIndexFile:
+    """Field semantics of ``index.json`` that every capped tier and the
+    artifact store depend on, as WHEN/THEN scenarios."""
+
+    def test_an_older_touch_never_lowers_atime(self, tmp_path):
+        """WHEN a key is touched at 7.0 and then at 3.0, buffered or
+        across a write, THEN its atime stays 7.0."""
+        index = CacheIndex(str(tmp_path))
+        index.touch("k", 7.0)
+        index.touch("k", 3.0)
+        assert index.load()["k"]["atime"] == 7.0
+        index.mutate()
+        index.touch("k", 3.0)
+        assert index.load()["k"]["atime"] == 7.0
+        assert index.mutate()["k"]["atime"] == 7.0
+        assert index_doc(str(tmp_path))["k"]["atime"] == 7.0
+
+    def test_a_touch_with_a_size_overwrites_the_stored_size(self, tmp_path):
+        """WHEN a touch carries a size THEN it replaces the stored size;
+        WHEN it carries none THEN the stored size is kept."""
+        index = CacheIndex(str(tmp_path))
+        index.touch("k", 1.0, size=10)
+        index.mutate()
+        index.touch("k", 2.0, size=4)
+        assert index.mutate()["k"] == {"atime": 2.0, "size": 4}
+        index.touch("k", 3.0)
+        assert index.mutate()["k"] == {"atime": 3.0, "size": 4}
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[1, 2]", "42", '"k"', "null", ""]
+    )
+    def test_a_corrupt_or_non_object_index_loads_empty(self, tmp_path, text):
+        """WHEN ``index.json`` is not a JSON object THEN it loads as
+        ``{}`` and the next write replaces it with a valid object."""
+        index = CacheIndex(str(tmp_path))
+        with open(index.path, "w") as fh:
+            fh.write(text)
+        assert index.load() == {}
+        index.touch("k", 1.0, size=2)
+        index.mutate()
+        assert index_doc(str(tmp_path)) == {"k": {"atime": 1.0, "size": 2}}
+
+
 class TestDiskTier:
     def test_warm_hit_does_zero_index_writes(self, tmp_path):
         tier = DiskTier(str(tmp_path), name="t.warm", max_bytes=10_000)

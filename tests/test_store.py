@@ -6,6 +6,7 @@ serve-layer integration (hot swap, canary routing over HTTP) lives in
 ``test_store_serve.py``.
 """
 
+import itertools
 import json
 import os
 import pathlib
@@ -28,6 +29,7 @@ from repro.store import (
     record_from_dict,
     version_id_for,
 )
+from repro.store.store import DEFAULT_STORE_MAX_BYTES, HISTORY_LIMIT
 
 PAYLOAD_A = {"config_label": "snc4-flat", "r_local": 4.0}
 PAYLOAD_B = {"config_label": "snc4-flat", "r_local": 5.0}
@@ -564,6 +566,122 @@ class TestArtifactStoreSchema:
         }
         index = json.loads((store_dir / "index.json").read_text())
         assert ids["orphan"] not in index
+
+
+class TestStoreClock:
+    """The store never reads the clock: every ``atime`` in its index is
+    a time its caller passed in."""
+
+    NEW_PAYLOAD = {"config_label": "snc4-flat", "r_local": 9.5}
+
+    @pytest.fixture
+    def store_dir(self, tmp_path):
+        target = tmp_path / "store"
+        shutil.copytree(STORE_FIXTURE, target)
+        return target
+
+    def atime_after(self, store_dir, **load_kw):
+        """Load the fixture's first version, publish a new one, and
+        return the first version's ``atime`` from ``index.json``."""
+        vid = TestArtifactStoreSchema.committed_ids(store_dir)["first"]
+        store = store_at(store_dir)
+        store.load(vid, **load_kw)
+        store.publish("slot-b", self.NEW_PAYLOAD, timestamp=6.0)
+        return json.loads((store_dir / "index.json").read_text())[vid]["atime"]
+
+    def test_a_load_without_touch_at_leaves_atime_alone(self, store_dir):
+        """WHEN a version is loaded without ``touch_at`` and a publish
+        follows THEN that version's committed ``atime`` is unchanged."""
+        assert self.atime_after(store_dir) == 1.0
+
+    def test_a_load_with_touch_at_writes_that_time(self, store_dir):
+        """WHEN a version is loaded with ``touch_at=9.0`` and a publish
+        follows THEN the index holds exactly 9.0 for it."""
+        assert self.atime_after(store_dir, touch_at=9.0) == 9.0
+
+
+# -- crash consistency -------------------------------------------------------
+
+
+def _store_workload(directory, max_bytes):
+    """Every kind of store write, in order: publish, rollback, canary
+    publish, promote, enough publishes to trim the history, then gc."""
+    store = ArtifactStore(directory=directory, max_bytes=max_bytes)
+    store.publish("slot-a", PAYLOAD_A, timestamp=1.0)
+    store.publish("slot-a", PAYLOAD_B, timestamp=2.0)
+    store.rollback("slot-a")
+    store.publish("slot-a", PAYLOAD_C, timestamp=3.0, canary_percent=25.0)
+    store.promote("slot-a")
+    for i in range(HISTORY_LIMIT + 1):
+        payload = {"config_label": "snc4-flat", "r_local": 10.0 + i}
+        store.publish("slot-a", payload, timestamp=4.0 + i)
+    store.gc()
+
+
+def _run_until_replace(directory, max_bytes, n):
+    """Run the workload in a forked child that exits 137 (as if
+    SIGKILLed) at its n-th ``os.replace``; return the child's exit
+    code, 0 when the workload makes fewer than n replaces."""
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child never returns
+        code = 1
+        try:
+            calls = itertools.count(1)
+            real_replace = os.replace
+
+            def replace(src, dst):
+                if next(calls) == n:
+                    os._exit(137)
+                real_replace(src, dst)
+
+            os.replace = replace
+            _store_workload(directory, max_bytes)
+            code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status)
+
+
+class TestCrashConsistency:
+    """A store killed at any atomic replace stays consistent."""
+
+    @staticmethod
+    def version_files(directory):
+        return {
+            name[: -len(".json")]
+            for name in os.listdir(os.path.join(directory, "versions"))
+            if name.endswith(".json")
+        }
+
+    def check(self, directory, max_bytes):
+        store = ArtifactStore(directory=directory, max_bytes=max_bytes)
+        for state in store.slots():
+            for vid in state.referenced():
+                store.load(vid)  # every manifest reference resolves
+        store.publish("slot-z", PAYLOAD_A, timestamp=100.0)
+        store.gc()
+        referenced = set()
+        for state in store.slots():
+            referenced |= state.referenced()
+        files = self.version_files(directory)
+        assert files <= referenced, "gc left an unreferenced version"
+
+    @pytest.mark.parametrize("max_bytes", [1, DEFAULT_STORE_MAX_BYTES])
+    def test_a_crash_at_every_replace_leaves_a_consistent_store(
+        self, tmp_path, max_bytes
+    ):
+        n = 0
+        while True:
+            n += 1
+            directory = str(tmp_path / f"crash-{n}")
+            code = _run_until_replace(directory, max_bytes, n)
+            if code == 0:
+                break
+            assert code == 137, f"the workload failed before replace {n}"
+            self.check(directory, max_bytes)
+        # publish/rollback/canary/promote/trim/gc: dozens of replaces.
+        assert n > 40
 
 
 def _write_store_fixture() -> None:
