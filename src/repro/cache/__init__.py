@@ -2,7 +2,7 @@
 
 Every cache in the workbench (runtime results, characterization
 bundles, serve artifacts and compiled plans, batcher dedup, the
-artifact store's disk index) now builds on
+artifact store's version records) now builds on
 the same four primitives instead of carrying its own copy:
 
 * :mod:`repro.cache.keys` — content addressing (``cache_key``) and

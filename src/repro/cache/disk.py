@@ -15,6 +15,10 @@ are adopted with their file mtime as the access time.  The byte cap is
 therefore enforced over what is *actually on disk* — a bad index can
 no longer orphan blobs forever.
 
+Eviction never removes a key in its ``keep`` set, and takes an
+optional byte cap of its own: the artifact store's gc is
+``evict(max_bytes=0, keep=<what the manifest references>)``.
+
 Reads never touch the index file: a hit buffers an atime refresh that
 the next put/evict/:meth:`flush` folds in (see
 :class:`~repro.cache.index.CacheIndex`), so the warm path does zero
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Optional, Tuple
+from typing import Callable, Collection, Dict, Optional, Tuple
 
 from repro.obs import counter, gauge, span
 from repro.cache.index import INDEX_NAME, CacheIndex, Entry
@@ -38,7 +42,13 @@ def _now() -> float:
 
 
 class DiskTier:
-    """Blob-per-key disk cache with optional LRU byte cap."""
+    """Blob-per-key disk cache with optional LRU byte cap.
+
+    ``index_dir`` puts ``index.json`` elsewhere than beside the blobs.
+    ``clock`` stamps a get or put that passes no ``atime``; with
+    ``clock=None`` such a get touches nothing, so a caller passing its
+    own times (the artifact store) never reads the wall clock.
+    """
 
     def __init__(
         self,
@@ -46,15 +56,18 @@ class DiskTier:
         name: str,
         suffix: str = ".json",
         max_bytes: Optional[int] = None,
+        index_dir: Optional[str] = None,
+        clock: Optional[Callable[[], float]] = _now,
     ) -> None:
         self.directory = directory
         self.name = name
         self.suffix = suffix
         self.max_bytes = max_bytes
+        self.clock = clock
         os.makedirs(directory, exist_ok=True)
-        self.index: Optional[CacheIndex] = (
-            CacheIndex(directory) if max_bytes is not None else None
-        )
+        self.index: Optional[CacheIndex] = None
+        if max_bytes is not None:
+            self.index = CacheIndex(index_dir or directory)
 
     def _count(self, event: str, n: int = 1) -> None:
         counter(f"cache.{self.name}.{event}").inc(n)
@@ -62,9 +75,20 @@ class DiskTier:
     def path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}{self.suffix}")
 
+    def _touch(self, key: str, atime: Optional[float],
+               size: Optional[int] = None) -> None:
+        """Buffer an index touch at ``atime``, else at the tier's clock;
+        an untimed get on a tier without a clock touches nothing."""
+        if self.index is None:
+            return
+        if atime is None and self.clock is not None:
+            atime = self.clock()
+        if atime is not None or size is not None:
+            self.index.touch(key, atime or 0.0, size=size)
+
     # -- get/put -----------------------------------------------------------
 
-    def get(self, key: str) -> Optional[bytes]:
+    def get(self, key: str, atime: Optional[float] = None) -> Optional[bytes]:
         """The blob bytes for ``key``, or None.  Lock-free; a hit only
         buffers an atime touch (zero index writes on the warm path)."""
         path = self.path(key)
@@ -75,25 +99,25 @@ class DiskTier:
             self._count("misses")
             return None
         self._count("hits")
-        if self.index is not None:
-            self.index.touch(key, _now())
+        self._touch(key, atime)
         return blob
 
-    def put(self, key: str, blob: bytes) -> str:
+    def put(self, key: str, blob: bytes, atime: Optional[float] = None,
+            keep: Collection[str] = ()) -> str:
         """Atomically write ``blob``; capped tiers fold the new entry
-        into the index and evict past the byte cap in one locked
-        index write.  Returns the blob path."""
+        into the index and evict past the byte cap (never a key in
+        ``keep``) in one locked index write.  Returns the blob path."""
         path = self.path(key)
         atomic_write(path, blob)
         self._count("writes")
         if self.index is not None:
-            self.index.touch(key, _now(), size=len(blob))
-            self.evict()
+            self._touch(key, atime, size=len(blob))
+            self.evict(keep=keep)
         return path
 
     # -- eviction / reconciliation -----------------------------------------
 
-    def _scan(self) -> Dict[str, int]:
+    def sizes(self) -> Dict[str, int]:
         """`key -> size` for every blob actually on disk."""
         sizes: Dict[str, int] = {}
         with os.scandir(self.directory) as entries:
@@ -108,15 +132,18 @@ class DiskTier:
                 sizes[name[: -len(self.suffix)]] = stat.st_size
         return sizes
 
-    def evict(self) -> int:
+    def evict(self, max_bytes: Optional[int] = None,
+              keep: Collection[str] = ()) -> int:
         """Reconcile the index with the directory, then drop
-        least-recently-used blobs until under the byte cap."""
+        least-recently-used blobs, never one in ``keep``, until under
+        ``max_bytes`` (default: the tier's cap)."""
         if self.index is None:
             return 0
+        cap = self.max_bytes if max_bytes is None else max_bytes
         evicted = []
 
         def reconcile_and_evict(index: Dict[str, Entry]) -> None:
-            sizes = self._scan()
+            sizes = self.sizes()
             ghosts = [k for k in index if k not in sizes]
             orphans = [k for k in sizes if k not in index]
             for key in ghosts:
@@ -139,8 +166,10 @@ class DiskTier:
             for key in sorted(
                 index, key=lambda k: index[k].get("atime", 0.0)
             ):
-                if total <= self.max_bytes:
+                if total <= cap:
                     break
+                if key in keep:
+                    continue
                 total -= int(index[key].get("size", 0))
                 try:
                     os.unlink(self.path(key))
@@ -160,7 +189,7 @@ class DiskTier:
     # -- introspection -----------------------------------------------------
 
     def keys(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._scan()))
+        return tuple(sorted(self.sizes()))
 
     def flush(self) -> None:
         """Write any buffered atime touches to the index."""

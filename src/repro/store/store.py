@@ -1,4 +1,4 @@
-"""The artifact store: disk tier + memory tier + routing manifest.
+"""The artifact store: version records + routing manifest.
 
 Layout under ``directory`` (default ``<cache root>/serve/artifacts``,
 shared with the legacy flat files it migrates)::
@@ -20,14 +20,19 @@ Every mutation (publish / promote / rollback / tag / gc) rewrites the
 manifest atomically through :func:`repro.cache.atomic_write`, so a
 reader process — a fleet worker answering ``/v1/admin/reload`` —
 always sees either the old routing state or the new one, never a torn
-file.  Version records are content-addressed and immutable, so the
-memory tier never invalidates them; only the manifest moves.
+file.  Version records are content-addressed and immutable; only the
+manifest moves.
 
-LRU bookkeeping (``index.json``) goes through the shared
-:class:`repro.cache.CacheIndex`: atime touches are buffered in-process
-(a warm load writes nothing) and folded into one file-locked index
-write on publish, cap enforcement, and gc — concurrent publishers no
-longer clobber each other's entries.
+Version records live on the shared :class:`repro.cache.DiskTier`
+(``versions/``, with its file-locked LRU index at ``index.json``): a
+load buffers its touch, and each record write folds the touches in,
+reconciles the index against the directory and evicts past the byte
+cap in one locked index write.  Eviction keeps every version the
+on-disk manifest references plus the one being written, and a record
+is always written before the manifest that names it, so a crash at any
+write never leaves a dangling reference.  ``gc`` is eviction to 0
+bytes with the same keep set.  Records that never reach disk
+(``persist=False``) live in the memory tier.
 
 Determinism: this module is in the lint's DET scope and never reads
 the wall clock.  Publish timestamps and LRU touch times are passed in
@@ -42,10 +47,9 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.cache import CacheIndex, atomic_write, default_cache_dir
-from repro.cache.index import Entry
+from repro.cache import DiskTier, atomic_write, default_cache_dir
 from repro.errors import ConfigurationError
-from repro.obs import counter, gauge
+from repro.obs import counter
 from repro.store.records import (
     StoreError,
     VersionRecord,
@@ -125,12 +129,16 @@ class ArtifactStore:
         self.persist = persist
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        #: Shared file-locked LRU index (atime/size per version) with
-        #: batched touches; all writes funnel through
-        #: :meth:`_mutate_index`.
-        self._index = CacheIndex(self.directory)
-        #: Memory tier: version id -> record.  Records are immutable, so
-        #: entries never go stale; the tier is dropped only per-process.
+        #: Disk tier of version records, its index at the store root;
+        #: the caller's timestamps are its only clock.
+        self._tier: Optional[DiskTier] = None
+        if persist:
+            self._tier = DiskTier(
+                self.versions_dir, name="store.disk", max_bytes=max_bytes,
+                index_dir=self.directory, clock=None,
+            )
+        #: Memory tier: version id -> record, for records that never
+        #: reach disk (``persist=False`` stores and publishes).
         self._mem: Dict[str, VersionRecord] = {}
         #: Cached manifest slots (raw docs); ``None`` = not loaded yet.
         #: :meth:`refresh` drops the cache so reload picks up publishes
@@ -176,7 +184,6 @@ class ArtifactStore:
     def _write_manifest(self) -> None:
         if not self.persist or self._slots is None:
             return
-        os.makedirs(self.directory, exist_ok=True)
         atomic_write(
             self._manifest_path(),
             json.dumps(
@@ -281,6 +288,7 @@ class ArtifactStore:
         vid = version_id_for(slot, capability)
         with self._lock:
             docs = self._load_slots()
+            keep = self._referenced(docs) | {vid}
             doc = docs.setdefault(slot, _empty_slot_doc())
             existing = self._get_record(vid)
             if existing is not None:
@@ -304,10 +312,11 @@ class ArtifactStore:
                     fit_seconds=fit_seconds,
                     notes=notes,
                 )
-                self._mem[vid] = record
                 counter("store.publishes").inc()
                 if do_persist:
-                    self._write_record(record, timestamp)
+                    self._write_record(record, timestamp, keep)
+                else:
+                    self._mem[vid] = record
             if canary_percent is not None and canary_percent > 0:
                 doc["canary"] = vid
                 doc["canary_percent"] = float(canary_percent)
@@ -319,8 +328,6 @@ class ArtifactStore:
                 self._append_history(doc, vid)
             if do_persist:
                 self._write_manifest()
-                self._enforce_cap(docs)
-                self._update_gauges()
         return record
 
     def load(
@@ -328,8 +335,9 @@ class ArtifactStore:
     ) -> VersionRecord:
         """One version record: memory tier, then disk.
 
-        ``touch_at`` (caller's clock) refreshes the LRU index entry so
-        actively-served versions stay resident under the byte cap.
+        ``touch_at`` (caller's clock) refreshes the LRU index entry of
+        a record read from disk, so actively-served versions stay
+        resident under the byte cap.
         Unknown ids and future-schema files raise :class:`StoreError`.
         """
         with self._lock:
@@ -349,34 +357,28 @@ class ArtifactStore:
         if record is not None:
             counter("store.loads.mem").inc()
             return record
-        if not self.persist:
+        if self._tier is None:
             return None
-        path = self.version_path(version_id)
-        if not os.path.exists(path):
+        blob = self._tier.get(version_id, atime=touch_at)
+        if blob is None:
             return None
         try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError) as e:
+            payload = json.loads(blob)
+        except ValueError as e:
             raise StoreError(
                 f"version file for {version_id[:16]} is unreadable: {e}"
             ) from e
-        record = record_from_dict(payload)
-        self._mem[version_id] = record
         counter("store.loads.disk").inc()
-        if touch_at is not None:
-            self._touch_index(version_id, atime=touch_at)
-        return record
+        return record_from_dict(payload)
 
-    def _write_record(self, record: VersionRecord, timestamp: float) -> None:
-        os.makedirs(self.versions_dir, exist_ok=True)
+    def _write_record(
+        self, record: VersionRecord, timestamp: float, keep: Set[str]
+    ) -> None:
+        """Write one record; the tier's eviction spares ``keep``."""
         blob = json.dumps(
             record.to_dict(), indent=2, sort_keys=True
         ).encode()
-        atomic_write(self.version_path(record.version_id), blob)
-        self._touch_index(
-            record.version_id, atime=timestamp, size=len(blob)
-        )
+        self._tier.put(record.version_id, blob, atime=timestamp, keep=keep)
 
     def adopt_legacy(
         self, slot: str, timestamp: float = 0.0
@@ -401,17 +403,16 @@ class ArtifactStore:
             return None
         with self._lock:
             docs = self._load_slots()
-            doc = docs.setdefault(slot, _empty_slot_doc())
             vid = record.version_id
+            keep = self._referenced(docs) | {vid}
+            doc = docs.setdefault(slot, _empty_slot_doc())
             if self._get_record(vid) is None:
-                self._mem[vid] = record
-                self._write_record(record, timestamp)
+                self._write_record(record, timestamp, keep)
                 counter("store.adoptions").inc()
             if doc.get("latest") is None:
                 doc["latest"] = vid
                 self._append_history(doc, vid)
             self._write_manifest()
-            self._update_gauges()
         return record
 
     @staticmethod
@@ -504,80 +505,9 @@ class ArtifactStore:
     # -- space management ----------------------------------------------------
 
     def _referenced(self, docs: Dict[str, Dict[str, Any]]) -> Set[str]:
-        refs: Set[str] = set()
-        for slot in sorted(docs):
-            refs.update(self._state(slot, docs[slot]).referenced())
-        return refs
-
-    def _touch_index(
-        self, version_id: str, atime: float, size: Optional[int] = None
-    ) -> None:
-        """Buffered LRU touch — folded into the next locked index write
-        (publish, cap enforcement, gc); a warm load writes nothing."""
-        self._index.touch(version_id, float(atime), size=size)
-
-    def _mutate_index(self, fn=None) -> None:
-        """One file-locked index write: buffered touches + ``fn``."""
-        if not self.persist:
-            return
-        os.makedirs(self.directory, exist_ok=True)
-        try:
-            self._index.mutate(fn)
-        except OSError:
-            pass  # LRU bookkeeping is an optimization, never a failure
-
-    def _scan_versions(self) -> Dict[str, int]:
-        """``{version_id: size_bytes}`` of every record file on disk."""
-        sizes: Dict[str, int] = {}
-        try:
-            names = sorted(os.listdir(self.versions_dir))
-        except OSError:
-            return sizes
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.versions_dir, name)
-            try:
-                sizes[name[: -len(".json")]] = os.path.getsize(path)
-            except OSError:
-                continue
-        return sizes
-
-    def _remove_version(self, version_id: str) -> None:
-        try:
-            os.unlink(self.version_path(version_id))
-        except OSError:
-            pass
-        self._mem.pop(version_id, None)
-
-    def _enforce_cap(self, docs: Dict[str, Dict[str, Any]]) -> None:
-        """Evict unreferenced versions, LRU first, until under the cap.
-
-        Anything a manifest references — latest, canary, tags, rollback
-        history — is never evicted, even over the cap: routing must not
-        break because the store got full.  Runs as one file-locked
-        index write, which also lands the publish's buffered touch.
-        """
-        referenced = self._referenced(docs)
-
-        def evict(index: Dict[str, Entry]) -> None:
-            sizes = self._scan_versions()
-            total = sum(sizes.values())
-            if total <= self.max_bytes:
-                return
-            evictable = sorted(
-                (vid for vid in sizes if vid not in referenced),
-                key=lambda vid: index.get(vid, {}).get("atime", 0.0),
-            )
-            for vid in evictable:
-                if total <= self.max_bytes:
-                    break
-                total -= sizes[vid]
-                self._remove_version(vid)
-                index.pop(vid, None)
-                counter("store.evictions").inc()
-
-        self._mutate_index(evict)
+        return set().union(
+            *(self._state(s, doc).referenced() for s, doc in docs.items())
+        )
 
     def gc(self) -> Dict[str, Any]:
         """Remove every version no manifest entry references.
@@ -585,51 +515,29 @@ class ArtifactStore:
         Returns ``{"removed": [...], "freed_bytes": n, "kept": n}``.
         Unlike cap eviction (which stops at the byte cap), gc prunes
         *all* unreferenced versions — rolled-back heads, trimmed
-        history, orphan files from deleted slots.
+        history, orphan files from deleted slots: it evicts to 0 bytes,
+        keeping what the manifest references.
         """
         with self._lock:
-            docs = self._load_slots()
-            referenced = self._referenced(docs)
-            sizes = self._scan_versions()
-            removed: List[str] = []
-            freed = 0
-            for vid in sorted(sizes):
-                if vid in referenced:
-                    continue
-                freed += sizes[vid]
-                self._remove_version(vid)
-                self._index.forget(vid)
-                removed.append(vid)
-            # Memory-only strays (persist=False stores, or records whose
-            # file was already gone).
-            for vid in sorted(set(self._mem) - referenced):
+            referenced = self._referenced(self._load_slots())
+            sizes = self._sizes()
+            removed = sorted((set(sizes) | set(self._mem)) - referenced)
+            if self._tier is not None:
+                self._tier.evict(max_bytes=0, keep=referenced)
+            for vid in removed:
                 self._mem.pop(vid, None)
-                if vid not in removed:
-                    removed.append(vid)
             if removed:
                 counter("store.gc.removed").inc(len(removed))
-
-            def prune(index: Dict[str, Entry]) -> None:
-                for vid in removed:
-                    index.pop(vid, None)
-
-            self._mutate_index(prune)
-            self._update_gauges()
         return {
             "removed": removed,
-            "freed_bytes": freed,
-            "kept": len(sizes) - sum(1 for v in removed if v in sizes),
+            "freed_bytes": sum(sizes.get(vid, 0) for vid in removed),
+            "kept": len(set(sizes) & referenced),
         }
 
     def disk_stats(self) -> Dict[str, int]:
-        """``{"bytes": ..., "versions": ...}`` of the disk tier (also
-        refreshes the ``store.disk.*`` gauges)."""
-        with self._lock:
-            return self._update_gauges()
+        """``{"bytes": ..., "versions": ...}`` of the disk tier."""
+        sizes = self._sizes()
+        return {"bytes": sum(sizes.values()), "versions": len(sizes)}
 
-    def _update_gauges(self) -> Dict[str, int]:
-        sizes = self._scan_versions()
-        stats = {"bytes": sum(sizes.values()), "versions": len(sizes)}
-        gauge("store.disk.bytes").set(stats["bytes"])
-        gauge("store.disk.versions").set(stats["versions"])
-        return stats
+    def _sizes(self) -> Dict[str, int]:
+        return self._tier.sizes() if self._tier is not None else {}

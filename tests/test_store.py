@@ -666,6 +666,8 @@ class TestCrashConsistency:
             referenced |= state.referenced()
         files = self.version_files(directory)
         assert files <= referenced, "gc left an unreferenced version"
+        with open(os.path.join(directory, "index.json")) as fh:
+            assert set(json.load(fh)) == files, "index out of step"
 
     @pytest.mark.parametrize("max_bytes", [1, DEFAULT_STORE_MAX_BYTES])
     def test_a_crash_at_every_replace_leaves_a_consistent_store(
