@@ -545,8 +545,15 @@ class TestFleetDrain:
                 )
                 for n in range(1, 17)
             ]
-            # Let every connection establish and submit, then drain.
-            await asyncio.sleep(0.05)
+            # Let every request reach the front end, then drain.  A
+            # bounded poll, not a fixed sleep: a slow event loop (asyncio
+            # debug mode) takes longer to connect 16 clients.
+            deadline = time.monotonic() + 10.0
+            while (
+                fleet._active_requests < 16 and time.monotonic() < deadline
+            ):
+                await asyncio.sleep(0.005)
+            assert fleet._active_requests == 16
             assert not any(task.done() for task in inflight)
             await fleet.stop()
             responses = await asyncio.gather(*inflight)
