@@ -567,26 +567,19 @@ class TestArtifactStoreSchema:
         index = json.loads((store_dir / "index.json").read_text())
         assert ids["orphan"] not in index
 
-
-class TestStoreClock:
-    """The store never reads the clock: every ``atime`` in its index is
-    a time its caller passed in."""
-
-    NEW_PAYLOAD = {"config_label": "snc4-flat", "r_local": 9.5}
-
-    @pytest.fixture
-    def store_dir(self, tmp_path):
-        target = tmp_path / "store"
-        shutil.copytree(STORE_FIXTURE, target)
-        return target
+    # The store never reads the clock: every ``atime`` in its index is
+    # a time its caller passed in.
 
     def atime_after(self, store_dir, **load_kw):
         """Load the fixture's first version, publish a new one, and
         return the first version's ``atime`` from ``index.json``."""
-        vid = TestArtifactStoreSchema.committed_ids(store_dir)["first"]
+        vid = self.committed_ids(store_dir)["first"]
         store = store_at(store_dir)
         store.load(vid, **load_kw)
-        store.publish("slot-b", self.NEW_PAYLOAD, timestamp=6.0)
+        store.publish(
+            "slot-b", {"config_label": "snc4-flat", "r_local": 9.5},
+            timestamp=6.0,
+        )
         return json.loads((store_dir / "index.json").read_text())[vid]["atime"]
 
     def test_a_load_without_touch_at_leaves_atime_alone(self, store_dir):
