@@ -288,7 +288,6 @@ class ArtifactStore:
         vid = version_id_for(slot, capability)
         with self._lock:
             docs = self._load_slots()
-            keep = self._referenced(docs) | {vid}
             doc = docs.setdefault(slot, _empty_slot_doc())
             existing = self._get_record(vid)
             if existing is not None:
@@ -314,7 +313,7 @@ class ArtifactStore:
                 )
                 counter("store.publishes").inc()
                 if do_persist:
-                    self._write_record(record, timestamp, keep)
+                    self._write_record(record, docs, timestamp)
                 else:
                     self._mem[vid] = record
             if canary_percent is not None and canary_percent > 0:
@@ -372,12 +371,16 @@ class ArtifactStore:
         return record_from_dict(payload)
 
     def _write_record(
-        self, record: VersionRecord, timestamp: float, keep: Set[str]
+        self, record: VersionRecord, docs: Dict[str, Dict[str, Any]],
+        timestamp: float,
     ) -> None:
-        """Write one record; the tier's eviction spares ``keep``."""
+        """Write one record before the manifest names it.  ``docs`` is
+        still the routing the on-disk manifest holds, so the tier's
+        eviction spares what it references plus the new record."""
         blob = json.dumps(
             record.to_dict(), indent=2, sort_keys=True
         ).encode()
+        keep = self._referenced(docs) | {record.version_id}
         self._tier.put(record.version_id, blob, atime=timestamp, keep=keep)
 
     def adopt_legacy(
@@ -403,11 +406,10 @@ class ArtifactStore:
             return None
         with self._lock:
             docs = self._load_slots()
-            vid = record.version_id
-            keep = self._referenced(docs) | {vid}
             doc = docs.setdefault(slot, _empty_slot_doc())
+            vid = record.version_id
             if self._get_record(vid) is None:
-                self._write_record(record, timestamp, keep)
+                self._write_record(record, docs, timestamp)
                 counter("store.adoptions").inc()
             if doc.get("latest") is None:
                 doc["latest"] = vid

@@ -666,15 +666,15 @@ class TestCrashConsistency:
     def test_a_crash_at_every_replace_leaves_a_consistent_store(
         self, tmp_path, max_bytes
     ):
-        n = 0
-        while True:
-            n += 1
+        for n in range(1, 200):
             directory = str(tmp_path / f"crash-{n}")
             code = _run_until_replace(directory, max_bytes, n)
             if code == 0:
                 break
             assert code == 137, f"the workload failed before replace {n}"
             self.check(directory, max_bytes)
+        else:
+            pytest.fail("the workload made 200 or more replaces")
         # publish/rollback/canary/promote/trim/gc: dozens of replaces.
         assert n > 40
 
