@@ -93,6 +93,11 @@ DEFAULT_DEADLINES = {
     "/v1/tune": 60.0,
 }
 
+#: Largest ``n`` a ``/v1/tune`` body may name, for either target.  The
+#: tree tuner is O(n²); a larger ``n`` would hold the evaluate thread
+#: long after the route's deadline had answered 504.
+MAX_TUNE_N = 1024
+
 #: Compiled predict plans kept warm, LRU by request content key.  A plan
 #: is a few hundred bytes of index arrays; 512 covers any realistic
 #: distinct-query working set while bounding a key-churning client.
@@ -730,6 +735,8 @@ def _handle_advise(cap: CapabilityModel, body: Mapping) -> dict:
 def _handle_tune(cap: CapabilityModel, body: Mapping, machine_provider) -> dict:
     target = body.get("target", "barrier")
     n = _positive_int(body, "n")
+    if n > MAX_TUNE_N:
+        raise ProtocolError(f"'n' must be at most {MAX_TUNE_N}, got {n}")
     if target == "barrier":
         if body.get("measured"):
             return _tune_barrier_measured(cap, body, n, machine_provider)
@@ -748,13 +755,21 @@ def _handle_tune(cap: CapabilityModel, body: Mapping, machine_provider) -> dict:
     if target == "tree":
         from repro.algorithms.tree_opt import tune_tree
 
-        max_degree = body.get("max_degree")
+        is_reduce = body.get("is_reduce", False)
+        if not isinstance(is_reduce, bool):
+            raise ProtocolError(
+                f"'is_reduce' must be true or false, got {is_reduce!r}"
+            )
         tuned = tune_tree(
             cap,
             n,
-            payload_bytes=int(body.get("payload_bytes", 64)),
-            is_reduce=bool(body.get("is_reduce", False)),
-            max_degree=None if max_degree is None else int(max_degree),
+            payload_bytes=_payload_bytes(body),
+            is_reduce=is_reduce,
+            max_degree=(
+                None
+                if body.get("max_degree") is None
+                else _positive_int(body, "max_degree")
+            ),
         )
         return {
             "target": "tree",
@@ -766,6 +781,24 @@ def _handle_tune(cap: CapabilityModel, body: Mapping, machine_provider) -> dict:
             "worst_ns": tuned.model.worst_ns,
         }
     raise ProtocolError(f"tune target must be barrier|tree, got {target!r}")
+
+
+def _payload_bytes(body: Mapping) -> int:
+    """The tree's ``payload_bytes``: a JSON integer, at least 0, that
+    fits a float64 (the level costs multiply it as a float)."""
+    value = body.get("payload_bytes", 64)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ProtocolError(
+            f"'payload_bytes' must be a non-negative integer, got {value!r}"
+        )
+    try:
+        float(value)
+    except OverflowError as e:
+        raise ProtocolError(
+            "'payload_bytes' must fit a float64, got an integer of "
+            f"{value.bit_length()} bits"
+        ) from e
+    return value
 
 
 def _tune_barrier_measured(

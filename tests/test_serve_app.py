@@ -15,6 +15,7 @@ import pytest
 from repro.obs import reset_metrics
 from repro.serve.app import (
     DEFAULT_DEADLINES,
+    MAX_TUNE_N,
     ServeApp,
     ServeConfig,
     build_serve_parser,
@@ -257,6 +258,54 @@ class TestAdviseAndTune:
 
         status, _, _ = serve(app, client)
         assert status == 400
+
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("max_degree", {"max_degree": -1}),
+            ("max_degree", {"max_degree": 0}),
+            ("max_degree", {"max_degree": "x"}),
+            ("payload_bytes", {"payload_bytes": "x"}),
+            ("payload_bytes", {"payload_bytes": -64}),
+            ("payload_bytes", {"payload_bytes": 64.5}),
+            ("payload_bytes", {"payload_bytes": 1 << 1100}),
+            ("is_reduce", {"is_reduce": "false"}),
+            ("n", {"n": 100_000}),
+            ("n", {"target": "barrier", "n": MAX_TUNE_N + 1}),
+        ],
+    )
+    def test_malformed_tune_body_is_a_400_naming_the_field(
+        self, app, field, fields
+    ):
+        body = {"target": "tree", "n": 16, **fields}
+
+        async def client(host, port):
+            return await http_request(host, port, "POST", "/v1/tune", body)
+
+        status, _, out = serve(app, client)
+        assert status == 400, out
+        assert f"'{field}'" in out["error"]["message"]
+
+    def test_tune_field_bounds_are_inclusive(self, app):
+        bodies = [
+            {"target": "barrier", "n": MAX_TUNE_N},
+            {"target": "tree", "n": 16, "max_degree": None,
+             "payload_bytes": 0, "is_reduce": True},
+            {"target": "tree", "n": 16, "max_degree": 1},
+        ]
+
+        async def client(host, port):
+            conn = ClientConnection(host, port)
+            try:
+                return [
+                    await conn.request("POST", "/v1/tune", b) for b in bodies
+                ]
+            finally:
+                await conn.close()
+
+        answers = serve(app, client)
+        assert [status for status, _, _ in answers] == [200, 200, 200]
+        assert answers[2][2]["depth"] == 15  # degree 1: a chain
 
 
 class TestBatchingAcceptance:
