@@ -11,7 +11,7 @@ test:
 	$(PY) -m pytest tests/
 
 lint:
-	$(PY) -m repro lint --baseline
+	$(PY) -m repro lint
 
 bench:
 	$(PY) -m pytest benchmarks/

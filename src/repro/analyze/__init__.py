@@ -16,9 +16,8 @@ contracts statically, with stdlib :mod:`ast` only:
 * the shipped rule packs — DET (determinism), ASY (event-loop and
   shared-state discipline), UNIT (unit conventions), REG (registry and
   schema contracts);
-* output as text, JSON, or SARIF 2.1.0 (:func:`to_sarif`), and a
-  content-addressed baseline (:class:`Baseline`) so CI gates on *new*
-  findings only.
+* a text report with one gate: ``repro lint`` exits 1 on any finding,
+  so every accepted exception is a ``noqa`` with a rationale.
 
 Quickstart::
 
@@ -35,12 +34,6 @@ Quickstart::
 
 from __future__ import annotations
 
-from repro.analyze.baseline import (
-    BASELINE_SCHEMA_VERSION,
-    Baseline,
-    BaselineDiff,
-    default_baseline_path,
-)
 from repro.analyze.context import FileContext
 from repro.analyze.engine import (
     AnalysisReport,
@@ -58,28 +51,20 @@ from repro.analyze.rules import (
     make_rules,
     register_rule,
 )
-from repro.analyze.sarif import SARIF_SCHEMA, SARIF_VERSION, to_sarif
 
 __all__ = [
     "AnalysisReport",
-    "BASELINE_SCHEMA_VERSION",
-    "Baseline",
-    "BaselineDiff",
     "FileContext",
     "Finding",
     "Rule",
-    "SARIF_SCHEMA",
-    "SARIF_VERSION",
     "Severity",
     "all_rule_ids",
     "analyze_paths",
     "analyze_source",
-    "default_baseline_path",
     "default_targets",
     "get_rule",
     "iter_python_files",
     "make_rules",
     "register_rule",
     "repo_root",
-    "to_sarif",
 ]

@@ -9,8 +9,8 @@ every file emits against the ``docs/OBSERVABILITY.md`` glossary
 suppressed nothing.  OBS001 findings go through the same per-file
 noqa filter.
 
-All policy lives in the rules; all reporting lives in the formatters;
-CI gating lives in :mod:`~repro.analyze.baseline`.
+All policy lives in the rules; the text report and its exit-code gate
+live in :mod:`~repro.analyze.cli`.
 
 Observability: ``lint.files`` counts files scanned, ``lint.findings``
 and ``lint.findings.<RULE>`` count surviving findings and

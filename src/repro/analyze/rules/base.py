@@ -1,9 +1,9 @@
 """Rule base class and registry of the pluggable rule framework.
 
 A rule is a class with an ``id`` (``DET001``), a one-line ``name``, a
-``rationale`` paragraph (rendered into ``docs/LINTING.md`` and the
-SARIF rule table), a default :class:`~repro.analyze.findings.Severity`,
-and a ``check(ctx)`` generator yielding raw findings.  The engine owns
+``rationale`` paragraph (rendered into ``docs/LINTING.md``), a
+default :class:`~repro.analyze.findings.Severity`, and a
+``check(ctx)`` generator yielding raw findings.  The engine owns
 suppression: rules yield every violation they see and the engine drops
 the ``repro: noqa``'d ones (so ``--no-noqa`` style tooling stays
 possible and suppression behaves identically across rules).
@@ -29,11 +29,6 @@ class Rule:
     rationale: str = ""
     severity: Severity = Severity.WARNING
 
-    @property
-    def help_uri(self) -> str:
-        """Anchor into the rule catalog (rendered into SARIF)."""
-        return f"docs/LINTING.md#{self.id.lower()}"
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
 
@@ -46,8 +41,6 @@ class Rule:
             path=ctx.path,
             line=line,
             col=getattr(node, "col_offset", 0) + 1,
-            end_line=getattr(node, "end_lineno", None) or 0,
-            end_col=(getattr(node, "end_col_offset", None) or -1) + 1,
             message=message,
             severity=self.severity,
             snippet=ctx.snippet(line),
@@ -61,8 +54,7 @@ class PassRule(Rule):
     SUP001 (stale suppressions) needs every file's finished noqa
     bookkeeping, so the engine drives both after the per-file rules
     have run.  ``check`` is a no-op; the registered class carries the
-    id/rationale/severity for the catalog, SARIF metadata, and
-    ``--rule`` selection.
+    id/rationale/severity for the catalog and ``--rule`` selection.
     """
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

@@ -10,8 +10,8 @@ leftover tokens into findings.
 The findings are emitted by the engine (suppression bookkeeping is
 engine state, not AST state), so :func:`stale_suppressions` is the
 real implementation and the registered rule class carries the
-id/rationale/severity for the catalog, SARIF metadata, and ``--rule``
-selection.  A token is only judged when this pass could have used it:
+id/rationale/severity for the catalog and ``--rule`` selection.  A
+token is only judged when this pass could have used it:
 ``noqa[DET001]`` is left alone by ``repro lint --rule ASY001``, and a
 bare ``noqa`` or an unknown token is only judged by a full-rule-set
 run.

@@ -88,8 +88,7 @@ def atomic_write(path: str, data: bytes) -> None:
     ``os.replace``, so readers never observe a half-written file.
 
     Shared by every disk tier that hashes through :func:`cache_key`
-    (result cache, characterization cache, :mod:`repro.store`, the
-    lint baseline)."""
+    (result cache, characterization cache, :mod:`repro.store`)."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -11,7 +11,7 @@ Examples::
     python -m repro run fig9 --trace t.json     # + Perfetto trace of the run
     python -m repro trace t.json                # summarize a trace file
     python -m repro serve --port 8080           # query service (docs/SERVING.md)
-    python -m repro lint --baseline             # static analysis (docs/LINTING.md)
+    python -m repro lint                        # static analysis (docs/LINTING.md)
     python -m repro machines list               # hardware catalog (docs/MACHINES.md)
     python -m repro store list                  # artifact store (docs/STORE.md)
     python -m repro version                     # or --version

@@ -98,6 +98,11 @@ DEFAULT_DEADLINES = {
 #: long after the route's deadline had answered 504.
 MAX_TUNE_N = 1024
 
+#: Most benchmark iterations a measured ``/v1/tune`` barrier may run per
+#: candidate arity.  n=256 at 100 iterations took 3.2 s on a 2-vCPU x86
+#: host, so the cap keeps a run near 30 s, under the route's deadline.
+MAX_TUNE_ITERATIONS = 1000
+
 #: Compiled predict plans kept warm, LRU by request content key.  A plan
 #: is a few hundred bytes of index arrays; 512 covers any realistic
 #: distinct-query working set while bounding a key-churning client.
@@ -697,24 +702,21 @@ def _handle_advise(cap: CapabilityModel, body: Mapping) -> dict:
     for b in buffers:
         if not isinstance(b, Mapping) or "name" not in b:
             raise ProtocolError("each buffer needs at least a 'name'")
-        try:
-            specs.append(
-                BufferSpec(
-                    name=str(b["name"]),
-                    size_bytes=int(b.get("size_bytes", 0)),
-                    traffic_bytes=int(b.get("traffic_bytes", 0)),
-                    pattern=b.get("pattern", "stream"),
-                    op=b.get("op", "copy"),
-                    n_threads=int(b.get("n_threads", 64)),
-                )
+        specs.append(
+            BufferSpec(
+                name=str(b["name"]),
+                size_bytes=_advise_int(b, "size_bytes", 0),
+                traffic_bytes=_advise_int(b, "traffic_bytes", 0),
+                pattern=b.get("pattern", "stream"),
+                op=b.get("op", "copy"),
+                n_threads=_advise_int(b, "n_threads", 64),
             )
-        except (TypeError, ValueError) as e:
-            raise ProtocolError(f"bad buffer spec: {e}") from e
-    capacity = body.get("mcdram_capacity", 16 * GIB)
-    try:
-        capacity = int(capacity)
-    except (TypeError, ValueError) as e:
-        raise ProtocolError(f"bad mcdram_capacity: {e}") from e
+        )
+    capacity = _advise_int(body, "mcdram_capacity", 16 * GIB)
+    if capacity < 0:
+        raise ProtocolError(
+            f"'mcdram_capacity' must be at least 0, got {capacity}"
+        )
     placement = recommend_placement(cap, specs, mcdram_capacity=capacity)
     used = sum(
         s.size_bytes
@@ -732,13 +734,32 @@ def _handle_advise(cap: CapabilityModel, body: Mapping) -> dict:
     }
 
 
+def _advise_int(mapping: Mapping, name: str, default: int) -> int:
+    """An advise size or count as ``int()`` reads it; a value it cannot
+    read (a string, an infinity such as JSON ``1e400``) or one beyond
+    the float range the advisor prices in is a :class:`ProtocolError`
+    naming the field."""
+    value = mapping.get(name, default)
+    try:
+        number = int(value)
+        float(number)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ProtocolError(f"bad {name!r}: {e}") from e
+    return number
+
+
 def _handle_tune(cap: CapabilityModel, body: Mapping, machine_provider) -> dict:
     target = body.get("target", "barrier")
     n = _positive_int(body, "n")
     if n > MAX_TUNE_N:
         raise ProtocolError(f"'n' must be at most {MAX_TUNE_N}, got {n}")
     if target == "barrier":
-        if body.get("measured"):
+        measured = body.get("measured", False)
+        if not isinstance(measured, bool):
+            raise ProtocolError(
+                f"'measured' must be true or false, got {measured!r}"
+            )
+        if measured:
             return _tune_barrier_measured(cap, body, n, machine_provider)
         from repro.algorithms.barrier import tune_barrier
 
@@ -783,11 +804,16 @@ def _handle_tune(cap: CapabilityModel, body: Mapping, machine_provider) -> dict:
     raise ProtocolError(f"tune target must be barrier|tree, got {target!r}")
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _payload_bytes(body: Mapping) -> int:
     """The tree's ``payload_bytes``: a JSON integer, at least 0, that
     fits a float64 (the level costs multiply it as a float)."""
     value = body.get("payload_bytes", 64)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not _is_int(value) or value < 0:
         raise ProtocolError(
             f"'payload_bytes' must be a non-negative integer, got {value!r}"
         )
@@ -806,13 +832,38 @@ def _tune_barrier_measured(
 ) -> dict:
     from repro.algorithms.autotune import autotune_barrier
 
+    iterations = body.get("iterations", 10)
+    if not _is_int(iterations) or not 1 <= iterations <= MAX_TUNE_ITERATIONS:
+        raise ProtocolError(
+            f"'iterations' must be an integer in [1, {MAX_TUNE_ITERATIONS}], "
+            f"got {iterations!r}"
+        )
+    margin = body.get("margin", 0.25)
+    if (
+        isinstance(margin, bool)
+        or not isinstance(margin, (int, float))
+        or not 0 <= margin <= 10  # NaN fails this too
+    ):
+        raise ProtocolError(
+            f"'margin' must be a number in [0, 10], got {margin!r}"
+        )
+    arities = body.get("arities")
+    if arities is not None and (
+        not isinstance(arities, list)
+        or not arities
+        or not all(_is_int(m) and 1 <= m < n for m in arities)
+    ):
+        raise ProtocolError(
+            "'arities' must be null or a non-empty list of integers in "
+            f"[1, {n - 1}], got {arities!r}"
+        )
     result = autotune_barrier(
         machine_provider(),
         cap,
         threads=list(range(n)),
-        arities=body.get("arities"),
-        margin=float(body.get("margin", 0.25)),
-        iterations=int(body.get("iterations", 10)),
+        arities=arities,
+        margin=float(margin),
+        iterations=iterations,
     )
     return {
         "target": "barrier",

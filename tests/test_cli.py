@@ -273,7 +273,8 @@ class TestLintDispatch:
             main(["lint", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--baseline" in out and "--format" in out
+        assert "--rule" in out and "--show-suppressed" in out
+        assert "--baseline" not in out and "--format" not in out
 
     def test_list_rules_prints_the_catalog(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
@@ -321,40 +322,33 @@ class TestLintDispatch:
         err = capsys.readouterr().err
         assert "unknown rule" in err
 
-    def test_missing_baseline_exits_two_with_hint(self, tmp_path, capsys):
-        mod = tmp_path / "clean.py"
-        mod.write_text("X = 1\n")
-        missing = str(tmp_path / "nope.json")
-        assert main(["lint", str(mod), "--baseline",
-                     "--baseline-file", missing]) == 2
-        assert "--update-baseline" in capsys.readouterr().err
-
-    def test_baseline_gates_only_new_findings(self, tmp_path, capsys):
-        pkg = tmp_path / "src" / "repro" / "sim"
-        pkg.mkdir(parents=True)
-        mod = pkg / "legacy.py"
-        mod.write_text("import time\nT = time.time()\n")
-        bl = str(tmp_path / "lint-baseline.json")
-        # Accept the legacy finding, then gate: nothing new.
-        assert main(["lint", str(tmp_path), "--update-baseline",
-                     "--baseline-file", bl]) == 0
-        capsys.readouterr()
-        assert main(["lint", str(tmp_path), "--baseline",
-                     "--baseline-file", bl]) == 0
-        assert "0 finding(s) new vs baseline" in capsys.readouterr().err
-        # A fresh violation still fails the gate.
-        mod.write_text(
-            "import time\nT = time.time()\n"
-            "import random\nR = random.random()\n"
-        )
-        assert main(["lint", str(tmp_path), "--baseline",
-                     "--baseline-file", bl]) == 1
-        assert "DET002" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--baseline"],
+            ["--update-baseline"],
+            ["--baseline-file", "x"],
+            ["--format", "text"],
+            ["--format", "json"],
+            ["--format", "sarif"],
+        ],
+        ids=[
+            "baseline", "update-baseline", "baseline-file",
+            "format-text", "format-json", "format-sarif",
+        ],
+    )
+    def test_deleted_gate_and_format_are_usage_errors(self, argv, capsys):
+        # A deleted option must fail loudly, never be silently ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLintIncrementalFlags:
-    """--show-suppressed, and the incremental-lint flags (--cache-dir,
-    --changed) that were removed with the whole-program stage."""
+    """--show-suppressed itemizes noqa'd findings; the incremental-lint
+    flags (--cache-dir, --changed), deleted with the whole-program
+    stage, are argparse usage errors."""
 
     def tree(self, tmp_path, body):
         pkg = tmp_path / "src" / "repro" / "sim"

@@ -15,6 +15,7 @@ import pytest
 from repro.obs import reset_metrics
 from repro.serve.app import (
     DEFAULT_DEADLINES,
+    MAX_TUNE_ITERATIONS,
     MAX_TUNE_N,
     ServeApp,
     ServeConfig,
@@ -52,6 +53,18 @@ def serve(app, client_coro_factory):
 @pytest.fixture()
 def app(snc4_flat_config, capability):
     return make_app(snc4_flat_config, capability)
+
+
+def measured_tune(**fields):
+    """A measured ``/v1/tune`` barrier body at n=16, with ``fields``."""
+    return {"target": "barrier", "n": 16, "measured": True, **fields}
+
+
+def advise_body(buffer_fields=(), **fields):
+    """A one-buffer ``/v1/advise`` body, with ``buffer_fields`` in the
+    buffer and ``fields`` at the top level."""
+    buffer = {"name": "a", "size_bytes": 1 << 20, "traffic_bytes": 1 << 30}
+    return {"buffers": [{**buffer, **dict(buffer_fields)}], **fields}
 
 
 class TestPlumbing:
@@ -286,12 +299,55 @@ class TestAdviseAndTune:
         assert status == 400, out
         assert f"'{field}'" in out["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "route, field, body",
+        [
+            ("/v1/tune", "measured", measured_tune(measured="false")),
+            ("/v1/tune", "margin", measured_tune(margin="x")),
+            ("/v1/tune", "iterations", measured_tune(iterations="x")),
+            ("/v1/tune", "iterations", measured_tune(iterations=-1)),
+            ("/v1/tune", "iterations", measured_tune(iterations=0)),
+            ("/v1/tune", "iterations", measured_tune(iterations=2.7)),
+            ("/v1/tune", "iterations",
+             measured_tune(iterations=MAX_TUNE_ITERATIONS + 1)),
+            ("/v1/tune", "arities", measured_tune(arities="x")),
+            ("/v1/tune", "arities", measured_tune(arities=[])),
+            ("/v1/tune", "arities", measured_tune(arities=[0])),
+            ("/v1/tune", "arities", measured_tune(arities=[-2])),
+            ("/v1/tune", "arities", measured_tune(arities=[16])),
+            ("/v1/tune", "arities", measured_tune(arities=[True])),
+            ("/v1/advise", "size_bytes",
+             advise_body({"size_bytes": float("inf")})),
+            ("/v1/advise", "traffic_bytes",
+             advise_body({"traffic_bytes": 10 ** 400})),
+            ("/v1/advise", "mcdram_capacity",
+             advise_body(mcdram_capacity=float("inf"))),
+            ("/v1/advise", "mcdram_capacity",
+             advise_body(mcdram_capacity=-1)),
+        ],
+    )
+    def test_malformed_measured_tune_or_advise_is_a_400_naming_the_field(
+        self, app, route, field, body
+    ):
+        # Python writes float("inf") as Infinity; send the standard JSON
+        # number that overflows a float64 instead.
+        raw = json.dumps(body).replace("Infinity", "1e400").encode()
+
+        async def client(host, port):
+            return await http_request(host, port, "POST", route, raw)
+
+        status, _, out = serve(app, client)
+        assert status == 400, out
+        assert f"'{field}'" in out["error"]["message"]
+
     def test_tune_field_bounds_are_inclusive(self, app):
         bodies = [
             {"target": "barrier", "n": MAX_TUNE_N},
             {"target": "tree", "n": 16, "max_degree": None,
              "payload_bytes": 0, "is_reduce": True},
             {"target": "tree", "n": 16, "max_degree": 1},
+            {"target": "barrier", "n": 4, "measured": True,
+             "iterations": 1, "margin": 10, "arities": [1, 3]},
         ]
 
         async def client(host, port):
@@ -304,8 +360,9 @@ class TestAdviseAndTune:
                 await conn.close()
 
         answers = serve(app, client)
-        assert [status for status, _, _ in answers] == [200, 200, 200]
+        assert [status for status, _, _ in answers] == [200] * 4
         assert answers[2][2]["depth"] == 15  # degree 1: a chain
+        assert answers[3][2]["mode"] == "measured"
 
 
 class TestBatchingAcceptance:

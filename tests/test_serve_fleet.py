@@ -547,11 +547,11 @@ class TestFleetDrain:
             ]
             # Let every request reach the front end, then drain.  A
             # bounded poll, not a fixed sleep: a slow event loop (asyncio
-            # debug mode) takes longer to connect 16 clients.
-            deadline = time.monotonic() + 10.0
-            while (
-                fleet._active_requests < 16 and time.monotonic() < deadline
-            ):
+            # debug mode) takes longer to connect 16 clients.  Counting
+            # 2000 sleeps of 5 ms keeps the 10 s bound without a clock.
+            for _ in range(2000):
+                if fleet._active_requests >= 16:
+                    break
                 await asyncio.sleep(0.005)
             assert fleet._active_requests == 16
             assert not any(task.done() for task in inflight)
