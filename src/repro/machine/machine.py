@@ -20,11 +20,13 @@ tests and for the analytic models.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.cache.lru import LRUCache
 from repro.errors import ConfigurationError, TopologyError
 from repro.machine.bandwidth import BandwidthModel
 from repro.machine.cache import CacheHierarchy
@@ -72,8 +74,49 @@ class _AffineRange:
         return self.lo_ns + t * (self.hi_ns - self.lo_ns)
 
 
+@dataclass(frozen=True)
+class _Facts:
+    """What a build of one (config, int seed, calibration, caches)
+    computes that never changes afterwards, shared by every machine of
+    that key.  The two dicts are memos of pure functions of the key, so
+    sharing them changes no value."""
+
+    topology: Topology
+    mesh: Mesh
+    directory: TagDirectory
+    c2c_range: Tuple[float, float]
+    mem_range: Dict[MemoryKind, Tuple[float, float]]
+    #: Noise-free single-line costs, see :meth:`KNLMachine.line_transfer_true_ns`.
+    transfer_cache: Dict[Tuple, float]
+    #: Noise-free STREAM iteration times, see :meth:`KNLMachine.stream_iteration_ns`.
+    stream_base: Dict[Tuple, float]
+
+
+#: Most fact sets the process memo keeps (least recently built dropped
+#: first).  A cold run of all 15 experiments builds 13 distinct ones.
+FACTS_MEMO_SIZE = 16
+
+_facts_memo = LRUCache("machine.facts", max_entries=FACTS_MEMO_SIZE)
+
+
+def _calibration_key(calibration: Calibration) -> str:
+    """Compact identity of a calibration override for the facts memo.
+
+    Its repr spells out every table in order, so equal overrides built
+    the same way share a key; the memo lives in one process only, so
+    the repr need not be stable across versions."""
+    return hashlib.sha256(repr(calibration).encode()).hexdigest()
+
+
 class KNLMachine:
-    """One configured, bootable KNL part."""
+    """One configured, bootable KNL part.
+
+    Machines built from the same config, int seed, calibration and
+    caches share one set of immutable facts (topology, mesh, directory,
+    path ranges and the noise-free cost memos) through a small process
+    memo; each machine still owns its noise stream, its own RNG, its
+    allocator and its MCDRAM cache model.
+    """
 
     def __init__(
         self,
@@ -102,10 +145,28 @@ class KNLMachine:
         self.noisy = bool(noise)
         self.machine_id = machine_id
         root = generator(seed)
-        self.topology = Topology(config, spawn(root, "topo"))
-        self.mesh = Mesh(self.topology)
+        # Drawn even when the facts come from the memo, so the root
+        # stream (and the noise and machine streams after it) advance
+        # exactly as for a fresh build.
+        topo_rng = spawn(root, "topo")
+        #: Identity of this machine's facts, or None (not memoized) for
+        #: a seed that is not a plain int.
+        self.facts_key = (
+            None if self.seed is None
+            else (config, self.seed,
+                  None if calibration is None else _calibration_key(calibration),
+                  caches)
+        )
+        facts = None if self.facts_key is None else _facts_memo.get(self.facts_key)
+        if facts is None:
+            self.topology = Topology(config, topo_rng)
+            self.mesh = Mesh(self.topology)
+            self.directory = TagDirectory(self.topology)
+        else:
+            self.topology = facts.topology
+            self.mesh = facts.mesh
+            self.directory = facts.directory
         self.memory = MemorySystem(config, self.topology)
-        self.directory = TagDirectory(self.topology)
         self.caches = caches if caches is not None else CacheHierarchy()
         self.calibration = (
             calibration
@@ -129,11 +190,24 @@ class KNLMachine:
             params = NoiseParams(sigma=0.0, outlier_p=0.0, quantum_ns=0.0)
         self.noise = NoiseModel(params, spawn(root, "noise"))
         self._rng = spawn(root, "machine")
-        # Noise-free transfer costs are pure functions of placement;
-        # memoize them (the engine asks for the same pairs constantly).
-        self._transfer_cache: Dict[Tuple, float] = {}
-        self._c2c_range = self._calibrate_c2c_paths()
-        self._mem_range = self._calibrate_memory_paths()
+        if facts is None:
+            # Noise-free transfer costs are pure functions of placement;
+            # memoize them (the engine asks for the same pairs constantly).
+            self._transfer_cache: Dict[Tuple, float] = {}
+            self._stream_base: Dict[Tuple, float] = {}
+            self._c2c_range = self._calibrate_c2c_paths()
+            self._mem_range = self._calibrate_memory_paths()
+            if self.facts_key is not None:
+                _facts_memo.put(self.facts_key, _Facts(
+                    self.topology, self.mesh, self.directory,
+                    self._c2c_range, self._mem_range,
+                    self._transfer_cache, self._stream_base,
+                ))
+        else:
+            self._transfer_cache = facts.transfer_cache
+            self._stream_base = facts.stream_base
+            self._c2c_range = facts.c2c_range
+            self._mem_range = facts.mem_range
 
     # ------------------------------------------------------------------
     # path calibration: map mesh routes onto the measured latency ranges
@@ -501,13 +575,21 @@ class KNLMachine:
         if nbytes_per_thread <= 0:
             raise ConfigurationError("nbytes_per_thread must be positive")
         n_threads = sum(cores_ht.values())
-        agg = self.bandwidth.aggregate(
-            op, kind, cores_ht, nt=nt, tuned=tuned,
-            working_set_bytes=working_set_bytes,
-        )
-        base = nbytes_per_thread / (agg / n_threads)
-        # startup: one memory latency to prime the stream
-        base += self.memory_latency_true_ns(next(iter(cores_ht)), kind=kind)
+        # The noise-free time depends on the first core (the start-up
+        # latency) and on the threads per core in order (the summed
+        # per-core rates), so those, not the whole mapping, key it.
+        key = (op, nbytes_per_thread, kind, nt, tuned, working_set_bytes,
+               next(iter(cores_ht), None), tuple(cores_ht.values()))
+        base = self._stream_base.get(key)
+        if base is None:
+            agg = self.bandwidth.aggregate(
+                op, kind, cores_ht, nt=nt, tuned=tuned,
+                working_set_bytes=working_set_bytes,
+            )
+            base = nbytes_per_thread / (agg / n_threads)
+            # startup: one memory latency to prime the stream
+            base += self.memory_latency_true_ns(next(iter(cores_ht)), kind=kind)
+            self._stream_base[key] = base
         if not noisy:
             return np.full(n_threads, base)
         # One iteration-level jitter factor shared by all threads (the
