@@ -48,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments import registry
+from repro.experiments._collectives import shared_points
 from repro.obs import counter, get_tracer, histogram, metrics_snapshot, span
 from repro.runtime.cache import (
     CharacterizationCache,
@@ -346,13 +347,15 @@ def execute(plan: RunPlan) -> RunReport:
                 _run_warmups(needs, plan, printer)
             manifest.warmed_characterizations = len(needs)
 
-    # Phase 2: fan experiments out.
+    # Phase 2: fan experiments out.  The collective sweeps run in one
+    # process share their points for this run only.
     if specs:
         printer.phase(
             "experiments",
             f"{len(specs)} task(s) on {plan.jobs} worker(s)",
         )
-        _supervise([spec for spec, _ in specs], plan, printer, outcomes)
+        with shared_points():
+            _supervise([spec for spec, _ in specs], plan, printer, outcomes)
 
     # Fill the result cache and the manifest in request order.
     ordered: List[TaskOutcome] = []

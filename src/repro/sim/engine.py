@@ -39,6 +39,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.machine.coherence import MESIF
 from repro.machine.machine import KNLMachine
+from repro.machine.noise import NoiseModel
 from repro.sim.trace import Trace, TraceEvent
 from repro.sim.program import (
     Compute,
@@ -112,10 +113,14 @@ class Engine:
         machine: KNLMachine,
         noisy: bool = True,
         record_trace: bool = False,
+        noise: Optional[NoiseModel] = None,
     ) -> None:
+        """``noise`` is the stream replays draw from; None (the
+        default) draws from the machine's own."""
         self.machine = machine
         self.noisy = noisy
         self.record_trace = record_trace
+        self.noise = noise
 
     # ------------------------------------------------------------------
 
@@ -232,7 +237,7 @@ class Engine:
         counter("sim.runs").inc()
         sampled, jittered = compiled.sampled, compiled.jittered
         if self.noisy:
-            noise = self.machine.noise
+            noise = self.noise if self.noise is not None else self.machine.noise
             sampled = noise.sample_values(sampled)
             jittered = noise.jitter_values(jittered)
         value = [0.0, *sampled.tolist(), *jittered[::-1].tolist()]
