@@ -103,6 +103,14 @@ MAX_TUNE_N = 1024
 #: host, so the cap keeps a run near 30 s, under the route's deadline.
 MAX_TUNE_ITERATIONS = 1000
 
+#: Most episodes (``iterations`` × ``len(arities)``) a measured
+#: ``/v1/tune`` barrier with an explicit ``arities`` list may run.  An
+#: explicit list may name arities up to n - 1, whose episodes cost more
+#: than those of the default list (at most 15 arities, all below 16):
+#: n=64 with arities 1..63 at 10 iterations (630 episodes) took 7.8 s
+#: on a 2-vCPU x86 host.
+MAX_TUNE_EPISODES = 500
+
 #: Compiled predict plans kept warm, LRU by request content key.  A plan
 #: is a few hundred bytes of index arrays; 512 covers any realistic
 #: distinct-query working set while bounding a key-churning client.
@@ -856,6 +864,13 @@ def _tune_barrier_measured(
         raise ProtocolError(
             "'arities' must be null or a non-empty list of integers in "
             f"[1, {n - 1}], got {arities!r}"
+        )
+    if arities is not None and len(set(arities)) != len(arities):
+        raise ProtocolError(f"'arities' must not repeat an arity, got {arities!r}")
+    if arities is not None and iterations * len(arities) > MAX_TUNE_EPISODES:
+        raise ProtocolError(
+            f"'iterations' times the length of 'arities' must be at most "
+            f"{MAX_TUNE_EPISODES} episodes, got {iterations} x {len(arities)}"
         )
     result = autotune_barrier(
         machine_provider(),

@@ -15,6 +15,7 @@ import pytest
 from repro.obs import reset_metrics
 from repro.serve.app import (
     DEFAULT_DEADLINES,
+    MAX_TUNE_EPISODES,
     MAX_TUNE_ITERATIONS,
     MAX_TUNE_N,
     ServeApp,
@@ -316,6 +317,9 @@ class TestAdviseAndTune:
             ("/v1/tune", "arities", measured_tune(arities=[-2])),
             ("/v1/tune", "arities", measured_tune(arities=[16])),
             ("/v1/tune", "arities", measured_tune(arities=[True])),
+            ("/v1/tune", "arities", measured_tune(arities=[2, 3, 2])),
+            ("/v1/tune", "arities", measured_tune(
+                iterations=MAX_TUNE_EPISODES // 2 + 1, arities=[2, 3])),
             ("/v1/advise", "size_bytes",
              advise_body({"size_bytes": float("inf")})),
             ("/v1/advise", "traffic_bytes",
@@ -348,6 +352,8 @@ class TestAdviseAndTune:
             {"target": "tree", "n": 16, "max_degree": 1},
             {"target": "barrier", "n": 4, "measured": True,
              "iterations": 1, "margin": 10, "arities": [1, 3]},
+            {"target": "barrier", "n": 4, "measured": True,
+             "iterations": MAX_TUNE_EPISODES // 2, "arities": [1, 3]},
         ]
 
         async def client(host, port):
@@ -360,9 +366,27 @@ class TestAdviseAndTune:
                 await conn.close()
 
         answers = serve(app, client)
-        assert [status for status, _, _ in answers] == [200] * 4
+        assert [status for status, _, _ in answers] == [200] * 5
         assert answers[2][2]["depth"] == 15  # degree 1: a chain
         assert answers[3][2]["mode"] == "measured"
+
+    def test_long_arity_list_is_refused_before_it_runs(self, app):
+        """Every arity of n=64 at 10 iterations is 630 episodes, about
+        8 s of simulation; the episode bound answers 400 at once."""
+        body = {"target": "barrier", "n": 64, "measured": True,
+                "iterations": 10, "margin": 10,
+                "arities": list(range(1, 64))}
+
+        async def client(host, port):
+            t0 = time.perf_counter()  # repro: noqa[DET001] — latency bound, not a result
+            status, _, out = await http_request(
+                host, port, "POST", "/v1/tune", body)
+            return status, out, time.perf_counter() - t0  # repro: noqa[DET001] — latency bound, not a result
+
+        status, out, elapsed = serve(app, client)
+        assert status == 400, out
+        assert "'arities'" in out["error"]["message"]
+        assert elapsed < 1.0
 
 
 class TestBatchingAcceptance:
