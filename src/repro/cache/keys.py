@@ -42,7 +42,11 @@ def fingerprint(value: Any) -> Any:
     """Reduce ``value`` to a JSON-stable structure for hashing.
 
     Handles dataclasses (``MachineConfig``), enums, tuples/sets and
-    numpy scalars; anything else falls back to ``repr``.
+    numpy scalars; anything else falls back to ``repr``.  Dict keys are
+    fingerprinted and then stringified (so enum keys work); their order
+    is left to :func:`content_key`'s ``sort_keys``.  Set elements are
+    ordered by their canonical JSON, so a set keys the same under every
+    ``PYTHONHASHSEED``.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
@@ -52,8 +56,10 @@ def fingerprint(value: Any) -> Any:
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, dict):
-        return {str(k): fingerprint(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple, set, frozenset)):
+        return {str(fingerprint(k)): fingerprint(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted((fingerprint(v) for v in value), key=_canonical)
+    if isinstance(value, (list, tuple)):
         return [fingerprint(v) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
@@ -62,9 +68,13 @@ def fingerprint(value: Any) -> Any:
     return repr(value)
 
 
+def _canonical(fingerprinted: Any) -> str:
+    return json.dumps(fingerprinted, sort_keys=True, default=repr)
+
+
 def content_key(payload: Any) -> str:
     """SHA-256 hex digest of the canonical JSON form of ``payload``."""
-    blob = json.dumps(fingerprint(payload), sort_keys=True, default=repr)
+    blob = _canonical(fingerprint(payload))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -39,25 +39,12 @@ from typing import List, Optional
 
 from repro._version import __version__
 from repro.errors import ReproError
+from repro.fields import flag
 from repro.experiments import all_ids, get
 
 #: Subcommands with their own flag namespace, dispatched before the main
 #: parser sees the argv (``--port`` etc. would be unknown flags to it).
 _SUBCOMMANDS = ("serve", "lint", "machines", "store")
-
-
-def _flag(kind, ok, rule: str):
-    """An argparse ``type`` that parses with ``kind`` and accepts only
-    values passing ``ok``; anything else is a usage error (exit 2)."""
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
-        return value
-    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runtime = p.add_argument_group("execution engine")
     runtime.add_argument(
-        "--jobs", type=_flag(int, lambda n: n >= 1, "an integer >= 1"),
+        "--jobs", type=flag(int, lambda n: n >= 1, "an integer >= 1"),
         default=1, metavar="N",
         help="worker processes (default 1 = serial; results are "
              "byte-identical either way)",
@@ -131,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runtime.add_argument(
         "--timeout",
-        type=_flag(float, lambda t: math.isfinite(t) and t > 0,
+        type=flag(float, lambda t: math.isfinite(t) and t > 0,
                    "a finite number > 0"),
         default=None, metavar="SECONDS",
         help="wall-clock budget per experiment attempt",
     )
     runtime.add_argument(
-        "--retries", type=_flag(int, lambda n: n >= 0, "an integer >= 0"),
+        "--retries", type=flag(int, lambda n: n >= 0, "an integer >= 0"),
         default=1, metavar="N",
         help="retries per failed experiment (default 1)",
     )

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Tuple
 
-from repro.errors import ConfigurationError
+from repro.fields import Choice, Instance, Integer, Number, fail
 from repro.units import GIB
 
 
@@ -85,34 +85,6 @@ class MemoryKind(enum.Enum):
 HYBRID_CACHE_FRACTIONS: Tuple[float, ...] = (0.25, 0.5)
 
 
-def _reject(knob: str, value: object, why: str) -> "ConfigurationError":
-    """A :class:`ConfigurationError` naming the offending knob.
-
-    Every validation failure in this module goes through here so the
-    message always carries the knob's dotted path and the rejected
-    value — callers (the serve layer, ``repro machines validate``)
-    surface these verbatim.
-    """
-    return ConfigurationError(f"config.{knob} = {value!r}: {why}")
-
-
-def _check_int(knob: str, value: object) -> int:
-    """``value`` as a plain int, or :class:`ConfigurationError`.
-
-    bool is rejected explicitly: ``True`` quacks like 1 but a config
-    built with one is almost certainly a caller bug.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _reject(knob, value, "must be an integer")
-    return value
-
-
-def _check_number(knob: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _reject(knob, value, "must be a number")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class MachineConfig:
     """Full configuration of a simulated KNL part.
@@ -139,58 +111,21 @@ class MachineConfig:
     n_physical_tiles: int = 38
 
     def __post_init__(self) -> None:
-        # Type checks first: every field is vetted before any comparison
-        # so a mistyped knob (``core_ghz="fast"``) raises a
-        # ConfigurationError naming the knob, never a bare TypeError out
-        # of an ordering operator.
-        if not isinstance(self.cluster_mode, ClusterMode):
-            raise _reject(
-                "cluster_mode", self.cluster_mode, "must be a ClusterMode"
-            )
-        if not isinstance(self.memory_mode, MemoryMode):
-            raise _reject(
-                "memory_mode", self.memory_mode, "must be a MemoryMode"
-            )
-        for knob in (
-            "n_active_tiles",
-            "cores_per_tile",
-            "threads_per_core",
-            "mcdram_bytes",
-            "ddr_bytes",
-            "ddr_mts",
-            "n_physical_tiles",
-        ):
-            _check_int(knob, getattr(self, knob))
-        _check_number("core_ghz", self.core_ghz)
-        _check_number("hybrid_cache_fraction", self.hybrid_cache_fraction)
-
-        if self.n_physical_tiles < 1:
-            raise _reject(
-                "n_physical_tiles", self.n_physical_tiles, "must be >= 1"
-            )
-        if not (1 <= self.n_active_tiles <= self.n_physical_tiles):
-            raise _reject(
-                "n_active_tiles",
+        # Every field is typed before any cross-field rule compares two,
+        # so a mistyped knob never raises a bare TypeError.
+        for name, check in _FIELD_CHECKS:
+            check(f"config.{name}", getattr(self, name))
+        if self.n_active_tiles > self.n_physical_tiles:
+            raise fail(
+                "config.n_active_tiles",
                 self.n_active_tiles,
                 f"must be in [1, {self.n_physical_tiles}]",
-            )
-        if self.cores_per_tile != 2:
-            raise _reject(
-                "cores_per_tile",
-                self.cores_per_tile,
-                "KNL tiles hold exactly 2 cores",
-            )
-        if self.threads_per_core not in (1, 2, 4):
-            raise _reject(
-                "threads_per_core",
-                self.threads_per_core,
-                "must be 1, 2, or 4",
             )
         if self.memory_mode is MemoryMode.HYBRID and (
             self.hybrid_cache_fraction not in HYBRID_CACHE_FRACTIONS
         ):
-            raise _reject(
-                "hybrid_cache_fraction",
+            raise fail(
+                "config.hybrid_cache_fraction",
                 self.hybrid_cache_fraction,
                 f"must be one of {HYBRID_CACHE_FRACTIONS} in hybrid mode",
             )
@@ -198,22 +133,12 @@ class MachineConfig:
         # counts need not divide evenly (the 68-core 7250 runs SNC4 with
         # uneven quadrants) — the topology balances them within one.
         if self.n_active_tiles < self.cluster_mode.n_clusters:
-            raise _reject(
-                "n_active_tiles",
+            raise fail(
+                "config.n_active_tiles",
                 self.n_active_tiles,
                 f"{self.cluster_mode.value} needs at least "
                 f"{self.cluster_mode.n_clusters} active tiles",
             )
-        if self.mcdram_bytes <= 0:
-            raise _reject(
-                "mcdram_bytes", self.mcdram_bytes, "must be positive"
-            )
-        if self.ddr_bytes <= 0:
-            raise _reject("ddr_bytes", self.ddr_bytes, "must be positive")
-        if self.core_ghz <= 0:
-            raise _reject("core_ghz", self.core_ghz, "must be positive")
-        if self.ddr_mts <= 0:
-            raise _reject("ddr_mts", self.ddr_mts, "must be positive")
 
     # -- derived quantities -------------------------------------------------
 
@@ -256,6 +181,23 @@ class MachineConfig:
     def with_(self, **kwargs) -> "MachineConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
+
+
+#: Every MachineConfig field's validator, checked in this order.
+_FIELD_CHECKS = (
+    ("cluster_mode", Instance(ClusterMode, "a ClusterMode")),
+    ("memory_mode", Instance(MemoryMode, "a MemoryMode")),
+    ("hybrid_cache_fraction", Number()),
+    ("n_physical_tiles", Integer(lo=1)),
+    ("n_active_tiles", Integer(lo=1)),
+    # KNL tiles hold exactly 2 cores.
+    ("cores_per_tile", Choice(2)),
+    ("threads_per_core", Choice(1, 2, 4)),
+    ("mcdram_bytes", Integer(lo=1, float64=True)),
+    ("ddr_bytes", Integer(lo=1, float64=True)),
+    ("core_ghz", Number(positive=True)),
+    ("ddr_mts", Integer(lo=1, float64=True)),
+)
 
 
 def all_configurations(

@@ -20,12 +20,12 @@ tests and for the analytic models.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.cache.keys import content_key
 from repro.cache.lru import LRUCache
 from repro.errors import ConfigurationError, TopologyError
 from repro.machine.bandwidth import BandwidthModel
@@ -99,15 +99,6 @@ FACTS_MEMO_SIZE = 16
 _facts_memo = LRUCache("machine.facts", max_entries=FACTS_MEMO_SIZE)
 
 
-def _calibration_key(calibration: Calibration) -> str:
-    """Compact identity of a calibration override for the facts memo.
-
-    Its repr spells out every table in order, so equal overrides built
-    the same way share a key; the memo lives in one process only, so
-    the repr need not be stable across versions."""
-    return hashlib.sha256(repr(calibration).encode()).hexdigest()
-
-
 class KNLMachine:
     """One configured, bootable KNL part.
 
@@ -154,7 +145,7 @@ class KNLMachine:
         self.facts_key = (
             None if self.seed is None
             else (config, self.seed,
-                  None if calibration is None else _calibration_key(calibration),
+                  None if calibration is None else content_key(calibration),
                   caches)
         )
         facts = None if self.facts_key is None else _facts_memo.get(self.facts_key)

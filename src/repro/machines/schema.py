@@ -12,7 +12,8 @@ A machine preset is a JSON document::
 ``knobs`` is a nested object of *groups*; this module owns the registry
 of every recognized dotted knob path (``group.knob``), its expected
 shape, and the validation that turns a raw document into canonical
-``(path, value)`` pairs.  Validation failures are always a
+``(path, value)`` pairs, with the validators of :mod:`repro.fields`.
+Validation failures are always a
 :class:`~repro.errors.ConfigurationError` whose message carries the
 offending knob's dotted path and the rejected value — never a bare
 ``KeyError``/``TypeError`` out of a dict lookup.
@@ -29,9 +30,10 @@ with **no** knobs describes exactly the paper's hardwired Xeon Phi
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError
+from repro.fields import Choice, Integer, Number, fail, ns_range
 
 #: Bump when the preset document layout changes incompatibly.
 MACHINES_SCHEMA_VERSION = 1
@@ -45,67 +47,9 @@ _STREAM_FIELDS = (
 )
 
 
-def _fail(path: str, value: Any, why: str) -> ConfigurationError:
-    return ConfigurationError(f"knob {path} = {value!r}: {why}")
-
-
-def _as_int(path: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(path, value, "must be an integer")
-    return value
-
-
-def _as_positive_int(path: str, value: Any) -> int:
-    value = _as_int(path, value)
-    if value < 1:
-        raise _fail(path, value, "must be >= 1")
-    return value
-
-
-def _as_number(path: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, value, "must be a number")
-    return float(value)
-
-
-def _as_positive_number(path: str, value: Any) -> float:
-    value = _as_number(path, value)
-    if value <= 0:
-        raise _fail(path, value, "must be positive")
-    return value
-
-
-def _as_fraction(path: str, value: Any) -> float:
-    value = _as_number(path, value)
-    if not 0.0 <= value <= 1.0:
-        raise _fail(path, value, "must be in [0, 1]")
-    return value
-
-
-def _as_choice(*choices: str) -> Callable[[str, Any], str]:
-    def check(path: str, value: Any) -> str:
-        if not isinstance(value, str) or value not in choices:
-            raise _fail(path, value, f"must be one of {sorted(choices)}")
-        return value
-
-    return check
-
-
-def _as_range(path: str, value: Any) -> Tuple[float, float]:
-    """A ``[lo, hi]`` nanosecond range (canonicalized to a tuple)."""
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(
-            isinstance(v, bool) or not isinstance(v, (int, float))
-            for v in value
-        )
-    ):
-        raise _fail(path, value, "must be a [lo, hi] pair of numbers")
-    lo, hi = float(value[0]), float(value[1])
-    if lo <= 0 or hi < lo:
-        raise _fail(path, value, "needs 0 < lo <= hi")
-    return (lo, hi)
+_POSITIVE_INT = Integer(lo=1)
+_POSITIVE_NUMBER = Number(positive=True)
+_FRACTION = Number(lo=0, hi=1)
 
 
 def _keyed_map(
@@ -116,17 +60,17 @@ def _keyed_map(
 
     def check(path: str, value: Any) -> Tuple[Tuple[str, Any], ...]:
         if not isinstance(value, Mapping):
-            raise _fail(path, value, f"must be an object with keys {keys}")
+            raise fail(path, value, f"must be an object with keys {keys}")
         out = []
         for key in sorted(value):
             if key not in keys:
-                raise _fail(
+                raise fail(
                     f"{path}.{key}", value[key],
-                    f"unknown key; expected one of {sorted(keys)}",
+                    f"is an unknown key; expected one of {sorted(keys)}",
                 )
             out.append((key, leaf(f"{path}.{key}", value[key])))
         if not out:
-            raise _fail(path, value, "must not be empty")
+            raise fail(path, value, "must not be empty")
         return tuple(out)
 
     return check
@@ -152,93 +96,93 @@ class Knob:
 #: * ``noise``    — measurement-noise overrides
 KNOBS: Dict[str, Knob] = {
     "cluster.scheme": Knob(
-        _as_choice("a2a", "hemisphere", "quadrant", "snc2", "snc4"),
+        Choice("a2a", "hemisphere", "quadrant", "snc2", "snc4"),
         "directory/cluster scheme (tag-directory address mapping)",
     ),
     "topology.active_tiles": Knob(
-        _as_positive_int, "active dual-core tiles on the die"
+        _POSITIVE_INT, "active dual-core tiles on the die"
     ),
     "topology.physical_tiles": Knob(
-        _as_positive_int, "physical tile slots in the floorplan"
+        _POSITIVE_INT, "physical tile slots in the floorplan"
     ),
     "topology.cores_per_tile": Knob(
-        _as_positive_int, "cores per tile (the engine requires 2)"
+        _POSITIVE_INT, "cores per tile (the engine requires 2)"
     ),
     "topology.threads_per_core": Knob(
-        _as_positive_int, "hardware threads per core (1, 2, or 4)"
+        _POSITIVE_INT, "hardware threads per core (1, 2, or 4)"
     ),
-    "clock.core_ghz": Knob(_as_positive_number, "core frequency [GHz]"),
+    "clock.core_ghz": Knob(_POSITIVE_NUMBER, "core frequency [GHz]"),
     "memory.mode": Knob(
-        _as_choice("flat", "cache", "hybrid"),
+        Choice("flat", "cache", "hybrid"),
         "near-pool exposure: flat address space, memory-side cache, "
         "or hybrid",
     ),
     "memory.hybrid_cache_fraction": Knob(
-        _as_fraction, "fraction of the near pool acting as cache (hybrid)"
+        _FRACTION, "fraction of the near pool acting as cache (hybrid)"
     ),
     "memory.near_bytes": Knob(
-        _as_positive_int,
+        _POSITIVE_INT,
         "near-pool capacity [bytes] (MCDRAM / HBM / local-socket DRAM)",
     ),
     "memory.far_bytes": Knob(
-        _as_positive_int,
+        _POSITIVE_INT,
         "far-pool capacity [bytes] (DDR / remote-socket DRAM)",
     ),
     "memory.far_mts": Knob(
-        _as_positive_int,
+        _POSITIVE_INT,
         "far-pool transfer rate [MT/s]; scales the far bandwidth "
         "ceiling (leave default when overriding bandwidth.far directly)",
     ),
-    "caches.l1_kib": Knob(_as_positive_int, "per-core L1D size [KiB]"),
-    "caches.l1_assoc": Knob(_as_positive_int, "L1D associativity"),
-    "caches.l2_kib": Knob(_as_positive_int, "tile-shared L2 size [KiB]"),
-    "caches.l2_assoc": Knob(_as_positive_int, "L2 associativity"),
+    "caches.l1_kib": Knob(_POSITIVE_INT, "per-core L1D size [KiB]"),
+    "caches.l1_assoc": Knob(_POSITIVE_INT, "L1D associativity"),
+    "caches.l2_kib": Knob(_POSITIVE_INT, "tile-shared L2 size [KiB]"),
+    "caches.l2_assoc": Knob(_POSITIVE_INT, "L2 associativity"),
     "latency.l1_ns": Knob(
-        _as_positive_number, "local L1 load-to-use latency [ns]"
+        _POSITIVE_NUMBER, "local L1 load-to-use latency [ns]"
     ),
     "latency.tile_ns": Knob(
-        _keyed_map(_STATES, _as_positive_number),
+        _keyed_map(_STATES, _POSITIVE_NUMBER),
         "same-tile transfer latency [ns] per MESIF state",
     ),
     "latency.remote_ns": Knob(
-        _keyed_map(_STATES, _as_range),
+        _keyed_map(_STATES, ns_range),
         "remote cache-to-cache latency range [lo, hi] ns per MESIF state",
     ),
     "latency.near_ns": Knob(
-        _as_range, "near-pool idle memory latency range [lo, hi] ns"
+        ns_range, "near-pool idle memory latency range [lo, hi] ns"
     ),
     "latency.far_ns": Knob(
-        _as_range, "far-pool idle memory latency range [lo, hi] ns"
+        ns_range, "far-pool idle memory latency range [lo, hi] ns"
     ),
     "latency.contention_alpha_ns": Knob(
-        _as_positive_number, "1:N contention intercept alpha [ns]"
+        _POSITIVE_NUMBER, "1:N contention intercept alpha [ns]"
     ),
     "latency.contention_beta_ns": Knob(
-        _as_positive_number, "1:N contention slope beta [ns/accessor]"
+        _POSITIVE_NUMBER, "1:N contention slope beta [ns/accessor]"
     ),
     "bandwidth.near": Knob(
-        _keyed_map(_STREAM_FIELDS, _as_positive_number),
+        _keyed_map(_STREAM_FIELDS, _POSITIVE_NUMBER),
         "near-pool aggregate stream capabilities [GB/s] "
         "(copy/read/write/triad + *_peak)",
     ),
     "bandwidth.far": Knob(
-        _keyed_map(_STREAM_FIELDS, _as_positive_number),
+        _keyed_map(_STREAM_FIELDS, _POSITIVE_NUMBER),
         "far-pool aggregate stream capabilities [GB/s]",
     ),
     "bandwidth.copy_tile": Knob(
-        _as_positive_number, "single-thread same-tile copy plateau [GB/s]"
+        _POSITIVE_NUMBER, "single-thread same-tile copy plateau [GB/s]"
     ),
     "bandwidth.copy_remote": Knob(
-        _as_positive_number, "single-thread remote copy plateau [GB/s]"
+        _POSITIVE_NUMBER, "single-thread remote copy plateau [GB/s]"
     ),
     "bandwidth.read_remote": Knob(
-        _as_positive_number, "single-thread remote read plateau [GB/s]"
+        _POSITIVE_NUMBER, "single-thread remote read plateau [GB/s]"
     ),
     "noise.sigma": Knob(
-        _as_fraction, "sigma of the multiplicative lognormal jitter"
+        _FRACTION, "sigma of the multiplicative lognormal jitter"
     ),
     "noise.outlier_p": Knob(
-        _as_fraction, "probability of an outlier spike per sample"
+        _FRACTION, "probability of an outlier spike per sample"
     ),
 }
 
@@ -268,9 +212,11 @@ def flatten_knobs(
     for group in sorted(knobs):
         body = knobs[group]
         if group not in groups:
-            raise _fail(group, body, f"unknown knob group; one of {groups}")
+            raise fail(
+                group, body, f"is an unknown knob group; one of {groups}"
+            )
         if not isinstance(body, Mapping):
-            raise _fail(group, body, "must be a JSON object of knobs")
+            raise fail(group, body, "must be a JSON object of knobs")
         for leaf in sorted(body):
             path = f"{group}.{leaf}"
             spec = KNOBS.get(path)
@@ -280,8 +226,9 @@ def flatten_knobs(
                     for p in KNOBS
                     if p.startswith(group + ".")
                 )
-                raise _fail(
-                    path, body[leaf], f"unknown knob; {group} has {known}"
+                raise fail(
+                    path, body[leaf],
+                    f"is an unknown knob; {group} has {known}",
                 )
             pairs.append((path, spec.check(path, body[leaf])))
     return tuple(sorted(pairs))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ModelError
+from repro.fields import Choice, Field, Integer, string, table
 from repro.model.parameters import CapabilityModel
 from repro.units import CACHE_LINE_BYTES, GIB
 
@@ -38,16 +39,20 @@ class BufferSpec:
     n_threads: int = 64
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ModelError(f"buffer {self.name!r}: size must be positive")
-        if self.traffic_bytes < 0:
-            raise ModelError(f"buffer {self.name!r}: negative traffic")
-        if self.pattern not in ("stream", "latency"):
-            raise ModelError(
-                f"buffer {self.name!r}: pattern must be stream|latency"
-            )
-        if self.n_threads < 1:
-            raise ModelError(f"buffer {self.name!r}: need >= 1 thread")
+        for f in BUFFER_FIELDS.values():
+            f.check(f.name, getattr(self, f.name))
+
+
+#: :class:`BufferSpec`'s fields, with the defaults a ``/v1/advise``
+#: buffer gets.  Sizes and counts are priced as float64.
+BUFFER_FIELDS = table(
+    Field("name", string),
+    Field("size_bytes", Integer(lo=1, float64=True)),
+    Field("traffic_bytes", Integer(lo=0, float64=True), 0),
+    Field("pattern", Choice("stream", "latency"), "stream"),
+    Field("op", string, "copy"),
+    Field("n_threads", Integer(lo=1, float64=True), 64),
+)
 
 
 @dataclass(frozen=True)

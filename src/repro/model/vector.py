@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ModelError
+from repro.fields import Choice, Field, Integer, boolean, fail, string, table
 from repro.model.parameters import CapabilityModel
 from repro.units import lines_in
 
@@ -54,37 +55,38 @@ __all__ = [
     "latency_table",
 ]
 
-_METRICS = "latency|bandwidth|contention|multiline"
-_LOCATIONS = "local|tile|remote|memory"
+#: A count the plan evaluates as float64: a JSON integer >= 1.
+_COUNT = Integer(lo=1, float64=True)
+
+#: The fields of each predict metric: name, validator and default.  The
+#: compiler reads (and checks) only the fields a query's metric and
+#: location use.
+PREDICT_FIELDS: Dict[str, Dict[str, Field]] = {
+    "latency": table(
+        Field(
+            "location", Choice("local", "tile", "remote", "memory"), "memory"
+        ),
+        Field("state", string, "M"),
+        Field("kind", string, "ddr"),
+    ),
+    "bandwidth": table(
+        Field("op", string, "copy"),
+        Field("kind", string, "ddr"),
+        Field("peak", boolean, False),
+    ),
+    "contention": table(Field("n", _COUNT)),
+    "multiline": table(
+        Field("bytes", _COUNT),
+        Field("location", string, "remote"),
+    ),
+}
+
+_LAT, _BW = PREDICT_FIELDS["latency"], PREDICT_FIELDS["bandwidth"]
+_CON, _ML = PREDICT_FIELDS["contention"], PREDICT_FIELDS["multiline"]
 
 
-def _positive_int(mapping: Mapping, field_name: str) -> int:
-    """A count field as a positive integer that fits a float64.
-
-    The compiled plan evaluates counts as float64 arrays, so a count
-    beyond the float range (a JSON integer of hundreds of digits) is a
-    validation error, not an overflow mid-evaluation.
-    """
-    value = mapping.get(field_name)
-    try:
-        value = int(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ModelError(
-            f"{field_name!r} must be a positive integer, got {value!r}"
-        ) from e
-    if value < 1:
-        raise ModelError(
-            f"{field_name!r} must be a positive integer, got {value}"
-        )
-    try:
-        float(value)
-    except OverflowError as e:
-        # Formatting the value would overflow (or flood) the message.
-        raise ModelError(
-            f"{field_name!r} must fit a float64, got an integer of "
-            f"{value.bit_length()} bits"
-        ) from e
-    return value
+def _unknown_metric(metric: Any) -> ModelError:
+    return fail("metric", metric, f"must be one of {sorted(PREDICT_FIELDS)}")
 
 
 # -- scalar reference --------------------------------------------------------
@@ -97,50 +99,32 @@ def predict_one(cap: CapabilityModel, query: Any) -> dict:
     :meth:`PredictPlan.evaluate` output byte-identical to a per-query
     loop over this function.
     """
-    if not isinstance(query, Mapping):
+    if not isinstance(query, dict):
         raise ModelError("each query must be a JSON object")
     metric = query.get("metric")
     if metric == "latency":
-        location = query.get("location", "memory")
-        state = query.get("state", "M")
+        location = _LAT["location"].read(query)
         if location == "local":
             value = cap.RL
-        elif location == "tile":
-            if state not in cap.r_tile:
-                raise ModelError(
-                    f"no tile latency for state {state!r}; "
-                    f"have {sorted(cap.r_tile)}"
-                )
-            value = cap.r_tile[state]
-        elif location == "remote":
-            if state not in cap.r_remote:
-                raise ModelError(
-                    f"no remote latency for state {state!r}; "
-                    f"have {sorted(cap.r_remote)}"
-                )
-            value = cap.r_remote[state]
         elif location == "memory":
-            value = cap.RI_kind(query.get("kind", "ddr"))
+            value = cap.RI_kind(_LAT["kind"].read(query))
         else:
-            raise ModelError(
-                f"latency location must be {_LOCATIONS}, got {location!r}"
-            )
-        return {"metric": metric, "value": value, "unit": "ns"}
-    if metric == "bandwidth":
+            value = _state_latency(cap, location, _LAT["state"].read(query))
+    elif metric == "bandwidth":
         value = cap.bw(
-            query.get("op", "copy"),
-            query.get("kind", "ddr"),
-            peak=bool(query.get("peak", False)),
+            _BW["op"].read(query),
+            _BW["kind"].read(query),
+            peak=_BW["peak"].read(query),
         )
-        return {"metric": metric, "value": value, "unit": "GB/s"}
-    if metric == "contention":
-        n = _positive_int(query, "n")
-        return {"metric": metric, "value": cap.T_C(n), "unit": "ns"}
-    if metric == "multiline":
-        nbytes = _positive_int(query, "bytes")
-        value = cap.multiline_ns(query.get("location", "remote"), nbytes)
-        return {"metric": metric, "value": value, "unit": "ns"}
-    raise ModelError(f"metric must be {_METRICS}, got {metric!r}")
+    elif metric == "contention":
+        value = cap.T_C(_CON["n"].read(query))
+    elif metric == "multiline":
+        nbytes = _ML["bytes"].read(query)
+        value = cap.multiline_ns(_ML["location"].read(query), nbytes)
+    else:
+        raise _unknown_metric(metric)
+    unit = "GB/s" if metric == "bandwidth" else "ns"
+    return {"metric": metric, "value": value, "unit": unit}
 
 
 # -- the compiled plan -------------------------------------------------------
@@ -212,20 +196,12 @@ class PredictPlan:
                 worst = (pos, raiser)
 
         for (loc, sub), pos in zip(self.latency.keys, self.latency.first_pos):
-            if loc == "local":
-                continue
-            if loc == "tile" and sub not in cap.r_tile:
-                consider(pos, lambda sub=sub: _raise(
-                    f"no tile latency for state {sub!r}; "
-                    f"have {sorted(cap.r_tile)}"
-                ))
-            elif loc == "remote" and sub not in cap.r_remote:
-                consider(pos, lambda sub=sub: _raise(
-                    f"no remote latency for state {sub!r}; "
-                    f"have {sorted(cap.r_remote)}"
-                ))
-            elif loc == "memory" and sub not in cap.r_memory:
-                consider(pos, lambda sub=sub: cap.RI_kind(sub))
+            if loc == "memory":
+                if sub not in cap.r_memory:
+                    consider(pos, lambda sub=sub: cap.RI_kind(sub))
+            elif loc != "local" and sub not in _fitted_states(cap, loc):
+                consider(pos, lambda loc=loc, sub=sub:
+                         _state_latency(cap, loc, sub))
         for key, pos in zip(self.bandwidth.keys, self.bandwidth.first_pos):
             op, kind, peak = key
             skey = f"{op}/{kind}/peak" if peak else f"{op}/{kind}"
@@ -249,9 +225,9 @@ class PredictPlan:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _values(self, cap: CapabilityModel) -> np.ndarray:
-        """The per-query value vector, computed as array sweeps."""
-        values = np.empty(self.n_queries, dtype=np.float64)
+    def _gather(self, cap: CapabilityModel, values: np.ndarray) -> None:
+        """Fill in the point values (latency, bandwidth): a handful of
+        distinct table entries, gathered by id."""
         lat, bw = self.latency, self.bandwidth
         if lat.pos.size:
             table = np.array(
@@ -264,6 +240,11 @@ class PredictPlan:
                 dtype=np.float64,
             )
             values[bw.pos] = table[bw.ids]
+
+    def _values(self, cap: CapabilityModel) -> np.ndarray:
+        """The per-query value vector, computed as array sweeps."""
+        values = np.empty(self.n_queries, dtype=np.float64)
+        self._gather(cap, values)
         con = self.contention
         if con.pos.size:
             values[con.pos] = (
@@ -294,19 +275,28 @@ class PredictPlan:
         return self.results(self._values(cap))
 
 
-def _raise(message: str) -> None:
-    raise ModelError(message)
+def _fitted_states(cap: CapabilityModel, location: str) -> Mapping[str, float]:
+    return cap.r_tile if location == "tile" else cap.r_remote
+
+
+def _state_latency(cap: CapabilityModel, location: str, state: str) -> float:
+    """The ``tile`` or ``remote`` latency of a MESIF state, if fitted."""
+    fitted = _fitted_states(cap, location)
+    if state not in fitted:
+        raise ModelError(
+            f"no {location} latency for state {state!r}; "
+            f"have {sorted(fitted)}"
+        )
+    return fitted[state]
 
 
 def _latency_value(cap: CapabilityModel, key: Tuple[str, str]) -> float:
     loc, sub = key
     if loc == "local":
         return cap.RL
-    if loc == "tile":
-        return cap.r_tile[sub]
-    if loc == "remote":
-        return cap.r_remote[sub]
-    return cap.r_memory[sub]
+    if loc == "memory":
+        return cap.r_memory[sub]
+    return _fitted_states(cap, loc)[sub]
 
 
 def _stream_key(key: Tuple[str, str, bool]) -> str:
@@ -318,11 +308,11 @@ class _GatherBuilder:
     def __init__(self) -> None:
         self.pos: List[int] = []
         self.ids: List[int] = []
-        self.keys: List[Tuple] = []
+        self.keys: List[Any] = []
         self.first_pos: List[int] = []
-        self._index: Dict[Tuple, int] = {}
+        self._index: Dict[Any, int] = {}
 
-    def add(self, pos: int, key: Tuple) -> None:
+    def add(self, pos: int, key: Any) -> None:
         idx = self._index.get(key)
         if idx is None:
             idx = len(self.keys)
@@ -346,68 +336,50 @@ def compile_queries(queries: Any) -> PredictPlan:
 
     Validation mirrors the scalar path exactly: the list must be a
     non-empty list, every query a JSON object with a known metric, and
-    the count fields positive integers — the first offending query
-    raises with the scalar path's message.
+    each field it reads as :data:`PREDICT_FIELDS` types it — the first
+    offending query raises with the scalar path's message.
     """
     if not isinstance(queries, list) or not queries:
         raise ModelError("predict needs a non-empty 'queries' list")
     metrics: List[str] = []
     units: List[str] = []
-    lat, bw = _GatherBuilder(), _GatherBuilder()
+    # Multiline locations gather like point keys, plus a line count each.
+    lat, bw, ml = _GatherBuilder(), _GatherBuilder(), _GatherBuilder()
     con_pos: List[int] = []
     con_n: List[float] = []
-    ml_pos: List[int] = []
     ml_n: List[float] = []
-    ml_ids: List[int] = []
-    ml_keys: List[str] = []
-    ml_first: List[int] = []
-    ml_index: Dict[str, int] = {}
 
     for pos, query in enumerate(queries):
-        if not isinstance(query, Mapping):
+        if not isinstance(query, dict):
             raise ModelError("each query must be a JSON object")
         metric = query.get("metric")
         if metric == "latency":
-            location = query.get("location", "memory")
-            state = query.get("state", "M")
+            location = _LAT["location"].read(query)
             if location == "local":
                 lat.add(pos, ("local", ""))
-            elif location in ("tile", "remote"):
-                lat.add(pos, (location, state))
             elif location == "memory":
-                lat.add(pos, ("memory", query.get("kind", "ddr")))
+                lat.add(pos, ("memory", _LAT["kind"].read(query)))
             else:
-                raise ModelError(
-                    f"latency location must be {_LOCATIONS}, "
-                    f"got {location!r}"
-                )
+                lat.add(pos, (location, _LAT["state"].read(query)))
             units.append("ns")
         elif metric == "bandwidth":
             bw.add(pos, (
-                query.get("op", "copy"),
-                query.get("kind", "ddr"),
-                bool(query.get("peak", False)),
+                _BW["op"].read(query),
+                _BW["kind"].read(query),
+                _BW["peak"].read(query),
             ))
             units.append("GB/s")
         elif metric == "contention":
             con_pos.append(pos)
-            con_n.append(_positive_int(query, "n"))
+            con_n.append(_CON["n"].read(query))
             units.append("ns")
         elif metric == "multiline":
-            nbytes = _positive_int(query, "bytes")
-            loc = query.get("location", "remote")
-            idx = ml_index.get(loc)
-            if idx is None:
-                idx = len(ml_keys)
-                ml_index[loc] = idx
-                ml_keys.append(loc)
-                ml_first.append(pos)
-            ml_pos.append(pos)
-            ml_ids.append(idx)
+            nbytes = _ML["bytes"].read(query)
+            ml.add(pos, _ML["location"].read(query))
             ml_n.append(lines_in(nbytes))
             units.append("ns")
         else:
-            raise ModelError(f"metric must be {_METRICS}, got {metric!r}")
+            raise _unknown_metric(metric)
         metrics.append(metric)
 
     return PredictPlan(
@@ -421,11 +393,11 @@ def compile_queries(queries: Any) -> PredictPlan:
             n=np.asarray(con_n or _EMPTY_F64, dtype=np.float64),
         ),
         multiline=_Curve(
-            pos=np.asarray(ml_pos or _EMPTY_I64, dtype=np.int64),
+            pos=np.asarray(ml.pos or _EMPTY_I64, dtype=np.int64),
             n=np.asarray(ml_n or _EMPTY_F64, dtype=np.float64),
-            ids=np.asarray(ml_ids or _EMPTY_I64, dtype=np.int64),
-            keys=ml_keys,
-            first_pos=ml_first,
+            ids=np.asarray(ml.ids or _EMPTY_I64, dtype=np.int64),
+            keys=ml.keys,
+            first_pos=ml.first_pos,
         ),
     )
 
@@ -475,18 +447,7 @@ def evaluate_plan_values(
 
     # Point-value gathers: per plan, a handful of distinct keys each.
     for p, v in zip(plans, values):
-        lat, bw = p.latency, p.bandwidth
-        if lat.pos.size:
-            table = np.array(
-                [_latency_value(cap, k) for k in lat.keys], dtype=np.float64
-            )
-            v[lat.pos] = table[lat.ids]
-        if bw.pos.size:
-            table = np.array(
-                [cap.stream[_stream_key(k)] for k in bw.keys],
-                dtype=np.float64,
-            )
-            v[bw.pos] = table[bw.ids]
+        p._gather(cap, v)
 
     # Contention: one fused alpha + beta * n over every plan's counts.
     con_sizes = [p.contention.pos.size for p in plans]

@@ -55,11 +55,25 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.errors import ModelError, ReproError
-from repro.model.advisor import BufferSpec, recommend_placement
+from repro.fields import (
+    Choice,
+    Field,
+    Instance,
+    Integer,
+    ListOf,
+    Nullable,
+    Number,
+    boolean,
+    fail,
+    flag,
+    read,
+    string,
+    table,
+)
+from repro.model.advisor import BUFFER_FIELDS, BufferSpec, recommend_placement
 from repro.model.parameters import CapabilityModel
 from repro.model.vector import (
     PredictPlan,
-    _positive_int,
     compile_queries,
     evaluate_plan_values,
 )
@@ -348,18 +362,15 @@ class ServeApp:
 
     def ref_for(self, machine: Any, config: Any) -> MachineRef:
         """The :class:`MachineRef` a body's ``machine``/``config`` fields
-        name; :class:`ProtocolError` (400) for a bad pair or value."""
+        name; a :class:`~repro.errors.ReproError` (400) for a bad pair or
+        value."""
         if machine is not None:
             if config is not None:
                 raise ProtocolError(
                     "'machine' and 'config' are mutually exclusive; name a "
                     "catalog preset or describe a raw config, not both"
                 )
-            if not isinstance(machine, str):
-                raise ProtocolError(
-                    f"'machine' must be a preset name string, "
-                    f"got {machine!r}"
-                )
+            string("machine", machine)
         elif config is not None:
             return MachineRef(config_from_json(config))
         ref = self._refs.get(machine)
@@ -702,29 +713,48 @@ def _parse_body(raw: bytes) -> Dict[str, Any]:
 # -- endpoint handlers (pure: capability model in, JSON out) ----------------
 
 
+#: ``/v1/advise`` body fields; each buffer's are
+#: :data:`~repro.model.advisor.BUFFER_FIELDS`.
+ADVISE_FIELDS = table(
+    Field("buffers", ListOf(Instance(dict, "a JSON object"))),
+    Field("mcdram_capacity", Integer(lo=0, float64=True), 16 * GIB),
+)
+
+_TUNE_TARGET = Field("target", Choice("barrier", "tree"), "barrier")
+_TUNE_N = Field("n", Integer(lo=1, hi=MAX_TUNE_N))
+
+#: ``/v1/tune`` body fields of the model-priced Eq. (1) tree.
+TUNE_TREE_FIELDS = table(
+    _TUNE_TARGET,
+    _TUNE_N,
+    Field("max_degree", Nullable(Integer(lo=1, float64=True))),
+    Field("payload_bytes", Integer(lo=0, float64=True), 64),
+    Field("is_reduce", boolean, False),
+)
+
+#: ``/v1/tune`` body fields of the model-priced dissemination barrier.
+TUNE_BARRIER_FIELDS = table(
+    _TUNE_TARGET, _TUNE_N, Field("measured", boolean, False)
+)
+
+#: ``/v1/tune`` body fields of the measured barrier (``"measured": true``).
+#: ``arities`` must also be distinct and below ``n``, and ask for at most
+#: ``MAX_TUNE_EPISODES`` episodes.
+TUNE_MEASURED_FIELDS = table(
+    *TUNE_BARRIER_FIELDS.values(),
+    Field("iterations", Integer(lo=1, hi=MAX_TUNE_ITERATIONS), 10),
+    Field("margin", Number(lo=0, hi=10), 0.25),
+    Field("arities", Nullable(ListOf(Integer(lo=1)))),
+)
+
+
 def _handle_advise(cap: CapabilityModel, body: Mapping) -> dict:
-    buffers = body.get("buffers")
-    if not isinstance(buffers, list) or not buffers:
-        raise ProtocolError("advise needs a non-empty 'buffers' list")
-    specs = []
-    for b in buffers:
-        if not isinstance(b, Mapping) or "name" not in b:
-            raise ProtocolError("each buffer needs at least a 'name'")
-        specs.append(
-            BufferSpec(
-                name=str(b["name"]),
-                size_bytes=_advise_int(b, "size_bytes", 0),
-                traffic_bytes=_advise_int(b, "traffic_bytes", 0),
-                pattern=b.get("pattern", "stream"),
-                op=b.get("op", "copy"),
-                n_threads=_advise_int(b, "n_threads", 64),
-            )
-        )
-    capacity = _advise_int(body, "mcdram_capacity", 16 * GIB)
-    if capacity < 0:
-        raise ProtocolError(
-            f"'mcdram_capacity' must be at least 0, got {capacity}"
-        )
+    fields = read(ADVISE_FIELDS, body)
+    specs = [
+        BufferSpec(**{n: b.get(n, f.default) for n, f in BUFFER_FIELDS.items()})
+        for b in fields["buffers"]
+    ]
+    capacity = fields["mcdram_capacity"]
     placement = recommend_placement(cap, specs, mcdram_capacity=capacity)
     used = sum(
         s.size_bytes
@@ -742,63 +772,18 @@ def _handle_advise(cap: CapabilityModel, body: Mapping) -> dict:
     }
 
 
-def _advise_int(mapping: Mapping, name: str, default: int) -> int:
-    """An advise size or count as ``int()`` reads it; a value it cannot
-    read (a string, an infinity such as JSON ``1e400``) or one beyond
-    the float range the advisor prices in is a :class:`ProtocolError`
-    naming the field."""
-    value = mapping.get(name, default)
-    try:
-        number = int(value)
-        float(number)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ProtocolError(f"bad {name!r}: {e}") from e
-    return number
-
-
 def _handle_tune(cap: CapabilityModel, body: Mapping, machine_provider) -> dict:
-    target = body.get("target", "barrier")
-    n = _positive_int(body, "n")
-    if n > MAX_TUNE_N:
-        raise ProtocolError(f"'n' must be at most {MAX_TUNE_N}, got {n}")
-    if target == "barrier":
-        measured = body.get("measured", False)
-        if not isinstance(measured, bool):
-            raise ProtocolError(
-                f"'measured' must be true or false, got {measured!r}"
-            )
-        if measured:
-            return _tune_barrier_measured(cap, body, n, machine_provider)
-        from repro.algorithms.barrier import tune_barrier
-
-        tuned = tune_barrier(cap, n)
-        return {
-            "target": "barrier",
-            "mode": "model",
-            "n": n,
-            "arity": tuned.arity,
-            "rounds": tuned.rounds,
-            "best_ns": tuned.model.best_ns,
-            "worst_ns": tuned.model.worst_ns,
-        }
-    if target == "tree":
+    if _TUNE_TARGET.read(body) == "tree":
         from repro.algorithms.tree_opt import tune_tree
 
-        is_reduce = body.get("is_reduce", False)
-        if not isinstance(is_reduce, bool):
-            raise ProtocolError(
-                f"'is_reduce' must be true or false, got {is_reduce!r}"
-            )
+        fields = read(TUNE_TREE_FIELDS, body)
+        n = fields["n"]
         tuned = tune_tree(
             cap,
             n,
-            payload_bytes=_payload_bytes(body),
-            is_reduce=is_reduce,
-            max_degree=(
-                None
-                if body.get("max_degree") is None
-                else _positive_int(body, "max_degree")
-            ),
+            payload_bytes=fields["payload_bytes"],
+            is_reduce=fields["is_reduce"],
+            max_degree=fields["max_degree"],
         )
         return {
             "target": "tree",
@@ -809,75 +794,50 @@ def _handle_tune(cap: CapabilityModel, body: Mapping, machine_provider) -> dict:
             "best_ns": tuned.model.best_ns,
             "worst_ns": tuned.model.worst_ns,
         }
-    raise ProtocolError(f"tune target must be barrier|tree, got {target!r}")
-
-
-def _is_int(value: Any) -> bool:
-    """A JSON integer: an ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _payload_bytes(body: Mapping) -> int:
-    """The tree's ``payload_bytes``: a JSON integer, at least 0, that
-    fits a float64 (the level costs multiply it as a float)."""
-    value = body.get("payload_bytes", 64)
-    if not _is_int(value) or value < 0:
-        raise ProtocolError(
-            f"'payload_bytes' must be a non-negative integer, got {value!r}"
+    fields = read(TUNE_BARRIER_FIELDS, body)
+    if fields["measured"]:
+        return _tune_barrier_measured(
+            cap, read(TUNE_MEASURED_FIELDS, body), machine_provider
         )
-    try:
-        float(value)
-    except OverflowError as e:
-        raise ProtocolError(
-            "'payload_bytes' must fit a float64, got an integer of "
-            f"{value.bit_length()} bits"
-        ) from e
-    return value
+    from repro.algorithms.barrier import tune_barrier
+
+    n = fields["n"]
+    tuned = tune_barrier(cap, n)
+    return {
+        "target": "barrier",
+        "mode": "model",
+        "n": n,
+        "arity": tuned.arity,
+        "rounds": tuned.rounds,
+        "best_ns": tuned.model.best_ns,
+        "worst_ns": tuned.model.worst_ns,
+    }
 
 
 def _tune_barrier_measured(
-    cap: CapabilityModel, body: Mapping, n: int, machine_provider
+    cap: CapabilityModel, fields: Mapping, machine_provider
 ) -> dict:
     from repro.algorithms.autotune import autotune_barrier
 
-    iterations = body.get("iterations", 10)
-    if not _is_int(iterations) or not 1 <= iterations <= MAX_TUNE_ITERATIONS:
-        raise ProtocolError(
-            f"'iterations' must be an integer in [1, {MAX_TUNE_ITERATIONS}], "
-            f"got {iterations!r}"
-        )
-    margin = body.get("margin", 0.25)
-    if (
-        isinstance(margin, bool)
-        or not isinstance(margin, (int, float))
-        or not 0 <= margin <= 10  # NaN fails this too
-    ):
-        raise ProtocolError(
-            f"'margin' must be a number in [0, 10], got {margin!r}"
-        )
-    arities = body.get("arities")
-    if arities is not None and (
-        not isinstance(arities, list)
-        or not arities
-        or not all(_is_int(m) and 1 <= m < n for m in arities)
-    ):
-        raise ProtocolError(
-            "'arities' must be null or a non-empty list of integers in "
-            f"[1, {n - 1}], got {arities!r}"
-        )
-    if arities is not None and len(set(arities)) != len(arities):
-        raise ProtocolError(f"'arities' must not repeat an arity, got {arities!r}")
-    if arities is not None and iterations * len(arities) > MAX_TUNE_EPISODES:
-        raise ProtocolError(
-            f"'iterations' times the length of 'arities' must be at most "
-            f"{MAX_TUNE_EPISODES} episodes, got {iterations} x {len(arities)}"
-        )
+    n, iterations = fields["n"], fields["iterations"]
+    arities = fields["arities"]
+    if arities is not None:
+        if max(arities) >= n:
+            raise fail("arities", arities, f"must name arities below n = {n}")
+        if len(set(arities)) != len(arities):
+            raise fail("arities", arities, "must not repeat an arity")
+        if iterations * len(arities) > MAX_TUNE_EPISODES:
+            raise fail(
+                "arities", arities,
+                f"times 'iterations' = {iterations} must be at most "
+                f"{MAX_TUNE_EPISODES} episodes",
+            )
     result = autotune_barrier(
         machine_provider(),
         cap,
         threads=list(range(n)),
         arities=arities,
-        margin=float(margin),
+        margin=fields["margin"],
         iterations=iterations,
     )
     return {
@@ -901,6 +861,14 @@ def _tune_barrier_measured(
 # -- CLI: `repro serve` ------------------------------------------------------
 
 
+#: ``--window-ms``, a count or size flag, and a ``--deadline``'s seconds.
+_window_ms = flag(float, lambda ms: math.isfinite(ms) and ms >= 0,
+                  "a finite number >= 0")
+_count = flag(int, lambda n: n >= 1, "an integer >= 1")
+_seconds = flag(float, lambda t: math.isfinite(t) and t > 0,
+                "a finite number > 0")
+
+
 def _deadline_spec(spec: str) -> Tuple[str, float]:
     """``--deadline ROUTE=SECONDS`` → ``(route, seconds)``; anything but a
     POST route with finite seconds > 0 is a usage error."""
@@ -913,41 +881,7 @@ def _deadline_spec(spec: str) -> Tuple[str, float]:
         raise argparse.ArgumentTypeError(
             f"unknown route {route!r} (one of {', '.join(DEFAULT_DEADLINES)})"
         )
-    try:
-        seconds = float(text)
-    except ValueError:
-        seconds = math.nan
-    if not (math.isfinite(seconds) and seconds > 0):
-        raise argparse.ArgumentTypeError(
-            f"seconds must be a finite number > 0, got {text!r}"
-        )
-    return route, seconds
-
-
-def _window_ms(text: str) -> float:
-    """``--window-ms``: a finite number of milliseconds >= 0."""
-    try:
-        ms = float(text)
-    except ValueError:
-        ms = math.nan
-    if not (math.isfinite(ms) and ms >= 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}"
-        )
-    return ms
-
-
-def _count(text: str) -> int:
-    """A count or size flag: an integer >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}"
-        )
-    return n
+    return route, _seconds(text)
 
 
 def build_serve_parser():

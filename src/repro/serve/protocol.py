@@ -1,7 +1,7 @@
 """Minimal HTTP/1.1 framing for :mod:`repro.serve` — stdlib only.
 
 The serving layer deliberately avoids third-party web frameworks: the
-container that runs the reproduction has numpy/scipy and nothing else,
+container that runs the reproduction has numpy and nothing else,
 and the service speaks a small, fixed protocol (JSON in, JSON out,
 ``Content-Length`` framing, optional keep-alive).  This module owns the
 wire format on both sides:

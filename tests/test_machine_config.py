@@ -177,6 +177,15 @@ class TestValidationAudit:
         assert f"config.{knob}" in message
         assert repr(value) in message
 
+    @pytest.mark.parametrize("knob", ["mcdram_bytes", "ddr_bytes", "ddr_mts"])
+    def test_sizes_and_rates_must_fit_a_float64(self, knob):
+        """The machine scales by these as floats; one beyond the float
+        range would overflow mid-build instead of naming the knob."""
+        with pytest.raises(ConfigurationError) as err:
+            MachineConfig(**{knob: 10 ** 400})
+        assert f"config.{knob}" in str(err.value)
+        assert "must fit a float64" in str(err.value)
+
     def test_hybrid_fraction_only_policed_in_hybrid_mode(self):
         # Flat mode ignores the fraction (it scales nothing)...
         MachineConfig(memory_mode=MemoryMode.FLAT, hybrid_cache_fraction=0.3)

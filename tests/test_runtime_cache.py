@@ -56,6 +56,37 @@ class TestFingerprint:
         assert len(key) == 64
         int(key, 16)
 
+    def test_set_key_is_equal_under_every_hash_seed(self):
+        """A set's iteration order follows ``PYTHONHASHSEED``; its key
+        must not."""
+        import subprocess
+        import sys
+
+        code = (
+            "from repro.cache.keys import content_key; "
+            "print(content_key(frozenset({'alpha', 'beta', 'gamma', 'delta'})))"
+        )
+        keys = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert len(keys) == 1
+        assert keys == {
+            content_key(["alpha", "beta", "delta", "gamma"]) + "\n"
+        }
+
+    def test_enum_keyed_calibration_has_a_key(self):
+        from repro.machine.calibration import Calibration
+
+        snc4 = content_key(Calibration.for_mode(ClusterMode.SNC4))
+        a2a = content_key(Calibration.for_mode(ClusterMode.A2A))
+        assert snc4 == content_key(Calibration.for_mode(ClusterMode.SNC4))
+        assert snc4 != a2a
+
     def test_default_cache_dir_honors_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/somewhere")
         assert default_cache_dir() == "/tmp/somewhere"

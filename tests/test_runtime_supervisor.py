@@ -154,13 +154,14 @@ class TestSupervision:
             ["fig5"], KW, jobs=jobs, cache_dir=cache, progress=False))
         assert clean.outcome("fig5").status is TaskStatus.DONE
 
-    def test_timeout_marks_task_timeout(self, jobs):
-        # 'ext' without a cache characterizes inline — comfortably longer
-        # than the 0.1s budget, and than the scheduler's poll interval.
+    def test_timeout_marks_task_timeout(self, jobs, sleep_experiments):
+        # One sleeper outlasts the 0.1 s budget (and the scheduler's poll
+        # interval) by construction, whatever the host's speed.
+        eid = sleep_experiments[0]
         report = execute(plan_run(
-            ["ext"], {"iterations": 4}, jobs=jobs, retries=0,
+            [eid], jobs=jobs, retries=0,
             timeout=0.1, no_cache=True, progress=False))
-        out = report.outcome("ext")
+        out = report.outcome(eid)
         assert out.status is TaskStatus.TIMEOUT
         assert "timeout" in (out.error or "")
         assert report.failed

@@ -266,6 +266,40 @@ class TestBatchShapes:
         ]
         assert health == 200
 
+    @pytest.mark.parametrize("field, query", [
+        ("kind", {"metric": "latency", "location": "memory", "kind": [1]}),
+        ("op", {"metric": "bandwidth", "op": {}}),
+    ])
+    def test_unhashable_field_answers_400_beside_a_200(
+        self, snc4_flat_config, capability, field, query
+    ):
+        """A list or object where a string belongs: that body answers
+        400 naming the field, its batchmate 200, and nothing counts as
+        a server error."""
+        reset_metrics()
+        good = {"queries": [{"metric": "contention", "n": 4}]}
+        bad = {"queries": [query]}
+        app = make_app(snc4_flat_config, capability, window_s=0.05)
+
+        async def client(host, port):
+            # As above: the held window makes both bodies one batch.
+            held = app.batcher.expect()
+            served = await asyncio.gather(
+                raw_post(host, port, good), raw_post(host, port, bad)
+            )
+            app.batcher.retire(held)
+            _, _, m = await http_request(host, port, "GET", "/metrics")
+            return served, m["metrics"]
+
+        served, metrics = serve(app, client)
+        assert [s for s, _, _ in served] == [200, 400]
+        for (status, _h, body), want in zip(
+            served, [oracle_response(capability, b) for b in (good, bad)]
+        ):
+            assert (status, body) == want
+        assert f"'{field}'" in json.loads(served[1][2])["error"]["message"]
+        assert metrics.get("serve.errors", {}).get("value", 0) == 0
+
     def test_unexpected_compile_failure_is_a_500_for_that_body_only(
         self, snc4_flat_config, capability, monkeypatch
     ):
