@@ -81,6 +81,10 @@ class MemoryKind(enum.Enum):
     MCDRAM = "mcdram"
 
 
+#: Tile slots on the die floorplan, all present on every shipping part;
+#: ``machine.topology.TILE_SLOT_COORDS`` lays them out.
+N_TILE_SLOTS = 38
+
 #: Valid MCDRAM cache fractions in hybrid mode (4 GB or 8 GB of the 16 GB).
 HYBRID_CACHE_FRACTIONS: Tuple[float, ...] = (0.25, 0.5)
 
@@ -107,8 +111,8 @@ class MachineConfig:
     #: DDR4 transfer rate in MT/s (2133 on the paper's 7210; 2400 on
     #: 7230/7250/7290 — scales the DDR bandwidth ceiling).
     ddr_mts: int = 2133
-    #: Physical tile slots on the die (38 on all shipping parts).
-    n_physical_tiles: int = 38
+    #: Physical tile slots on the die: the floorplan's ``N_TILE_SLOTS``.
+    n_physical_tiles: int = N_TILE_SLOTS
 
     def __post_init__(self) -> None:
         # Every field is typed before any cross-field rule compares two,
@@ -188,7 +192,8 @@ _FIELD_CHECKS = (
     ("cluster_mode", Instance(ClusterMode, "a ClusterMode")),
     ("memory_mode", Instance(MemoryMode, "a MemoryMode")),
     ("hybrid_cache_fraction", Number()),
-    ("n_physical_tiles", Integer(lo=1)),
+    # The topology lays out the whole floorplan.
+    ("n_physical_tiles", Choice(N_TILE_SLOTS)),
     ("n_active_tiles", Integer(lo=1)),
     # KNL tiles hold exactly 2 cores.
     ("cores_per_tile", Choice(2)),

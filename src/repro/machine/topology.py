@@ -31,7 +31,7 @@ from repro.rng import SeedLike, generator, spawn
 GRID_ROWS = 9
 GRID_COLS = 6
 
-#: Tile slot coordinates, fixed by the die floorplan (38 slots).
+#: Tile slot coordinates, fixed by the die floorplan (``config.N_TILE_SLOTS``).
 TILE_SLOT_COORDS: Tuple[Tuple[int, int], ...] = tuple(
     [(1, c) for c in (1, 2, 3, 4)]
     + [(2, c) for c in range(6)]

@@ -165,6 +165,10 @@ class TestValidationAudit:
         ("core_ghz", 0.0),
         ("ddr_mts", -2133),
         ("n_physical_tiles", 0),
+        # The topology lays out all 38 floorplan slots, whatever this says.
+        ("n_physical_tiles", 32),
+        ("n_physical_tiles", 60),
+        ("n_physical_tiles", 10 ** 12),
     ]
 
     @pytest.mark.parametrize(

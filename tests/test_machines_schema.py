@@ -132,8 +132,8 @@ class TestDocumentValidation:
 
     def test_cross_knob_violations_surface_at_resolve(self):
         with pytest.raises(ConfigurationError, match="n_active_tiles"):
-            resolve(doc({"topology": {"active_tiles": 37,
-                                      "physical_tiles": 36}}))
+            resolve(doc({"topology": {"active_tiles": 39,
+                                      "physical_tiles": 38}}))
 
     def test_every_knob_has_a_description(self):
         assert set(describe_knobs()) == set(KNOBS)
