@@ -344,6 +344,21 @@ class TestAdviseAndTune:
         assert status == 400, out
         assert f"'{field}'" in out["error"]["message"]
 
+    @pytest.mark.parametrize("physical", [32, 34, 60, 10 ** 12])
+    def test_raw_config_off_the_floorplan_is_a_400(self, app, physical):
+        """The topology lays out all 38 floorplan slots: any other
+        ``n_physical_tiles`` would build a part whose active tile count
+        is not the config's (or, at 10**12, fail mid-build)."""
+        body = {"config": {"n_physical_tiles": physical},
+                "queries": [{"metric": "latency", "location": "local"}]}
+
+        async def client(host, port):
+            return await http_request(host, port, "POST", "/v1/predict", body)
+
+        status, _, out = serve(app, client)
+        assert status == 400, out
+        assert "'config.n_physical_tiles'" in out["error"]["message"]
+
     def test_tune_field_bounds_are_inclusive(self, app):
         bodies = [
             {"target": "barrier", "n": MAX_TUNE_N},
@@ -740,8 +755,13 @@ class TestShutdown:
                 for n in range(1, 9)
             ]
             # All eight are sitting in the 200 ms batching window when
-            # the drain begins.
-            await asyncio.sleep(0.05)
+            # the drain begins: wait (a bounded number of short sleeps)
+            # until the batcher has admitted every one.
+            for _ in range(400):
+                if app.batcher.depth == len(inflight):
+                    break
+                await asyncio.sleep(0.005)
+            assert app.batcher.depth == len(inflight)
             assert not any(task.done() for task in inflight)
             await app.stop()
             return await asyncio.gather(*inflight)
