@@ -13,7 +13,9 @@ vanished are dropped, on-disk blobs missing from the index (e.g. after
 a corrupted index degraded to ``{}``, or written by a crashed sibling)
 are adopted with their file mtime as the access time.  The byte cap is
 therefore enforced over what is *actually on disk* — a bad index can
-no longer orphan blobs forever.
+no longer orphan blobs forever.  The same pass removes the temp files
+of blob writers that died before their replace (see
+:func:`repro.cache.keys.sweep_temps`).
 
 Eviction never removes a key in its ``keep`` set, and takes an
 optional byte cap of its own: the artifact store's gc is
@@ -33,7 +35,7 @@ from typing import Callable, Collection, Dict, Optional, Tuple
 
 from repro.obs import counter, gauge, span
 from repro.cache.index import INDEX_NAME, CacheIndex, Entry
-from repro.cache.keys import atomic_write
+from repro.cache.keys import atomic_write, sweep_temps
 
 
 def _now() -> float:
@@ -143,6 +145,7 @@ class DiskTier:
         evicted = []
 
         def reconcile_and_evict(index: Dict[str, Entry]) -> None:
+            sweep_temps(self.directory)
             sizes = self.sizes()
             ghosts = [k for k in index if k not in sizes]
             orphans = [k for k in sizes if k not in index]

@@ -33,7 +33,7 @@ import threading
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs import counter
-from repro.cache.keys import atomic_write
+from repro.cache.keys import atomic_write, sweep_temps
 
 try:  # pragma: no cover - fcntl is POSIX-only; CI and dev are Linux
     import fcntl
@@ -136,11 +136,6 @@ class CacheIndex:
             if size is not None:
                 entry["size"] = size
 
-    def forget(self, key: str) -> None:
-        """Drop any buffered touch for ``key`` (entry was removed)."""
-        with self._mu:
-            self._dirty.pop(key, None)
-
     @property
     def dirty(self) -> bool:
         with self._mu:
@@ -160,8 +155,11 @@ class CacheIndex:
         (eviction deletes entries, reconciliation adds them).  The
         result is atomically written back and returned.  Exactly one
         index write per call — counted by ``cache.index.writes``.
+        Temp files of index writers that died mid-write are swept here,
+        under the lock that guards the index.
         """
         with self._lock:
+            sweep_temps(self.directory, INDEX_NAME)
             index = self._read_disk()
             with self._mu:
                 dirty, self._dirty = self._dirty, {}

@@ -12,20 +12,22 @@ tier already agreed on.
 * :func:`cache_key` — the public keyed form: hashes keyword parts plus
   ``repro.__version__`` (pass ``version=`` to pin or drop it);
 * :func:`atomic_write` — same-directory temp file + ``os.replace`` so
-  readers never observe a torn file;
+  readers never observe a torn file; :func:`sweep_temps` removes the
+  temp files of writers that died before their replace;
 * :func:`default_cache_dir` — ``$REPRO_CACHE_DIR`` or
   ``~/.cache/repro-knl``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
 import json
 import os
 import tempfile
-from typing import Any
+from typing import Any, Optional
 
 from repro._version import __version__
 
@@ -97,9 +99,13 @@ def atomic_write(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` through a same-directory temp file +
     ``os.replace``, so readers never observe a half-written file.
 
-    Shared by every disk tier that hashes through :func:`cache_key`
-    (result cache, characterization cache, :mod:`repro.store`)."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    The temp file is named ``<target>.<writer pid>.<random>.tmp``, so
+    :func:`sweep_temps` can tell a dead writer's leftover from a live
+    writer's file in flight.  Shared by every disk tier that hashes
+    through :func:`cache_key` (result cache, characterization cache,
+    :mod:`repro.store`)."""
+    prefix = f"{os.path.basename(path)}.{os.getpid()}."
+    fd, tmp = tempfile.mkstemp(".tmp", prefix, os.path.dirname(path))
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -108,3 +114,29 @@ def atomic_write(path: str, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # alive, but another user's
+        pass
+    return True
+
+
+def sweep_temps(directory: str, target: Optional[str] = None) -> None:
+    """Remove the :func:`atomic_write` temp files in ``directory`` whose
+    writer process is gone (killed between its write and its replace),
+    only ``target``'s when given.  A live writer's temp file is never
+    touched, so the sweep is safe beside writers that hold no lock."""
+    for name in os.listdir(directory):
+        parts = name.rsplit(".", 3)  # target, pid, random, "tmp"
+        if (
+            len(parts) == 4 and parts[3] == "tmp"
+            and parts[1].isdigit() and target in (None, parts[0])
+            and not _alive(int(parts[1]))
+        ):
+            with contextlib.suppress(OSError):
+                os.unlink(os.path.join(directory, name))

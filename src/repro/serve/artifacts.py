@@ -19,14 +19,21 @@ serving view over** :class:`repro.store.ArtifactStore`:
   (``latest`` / ``canary``); the registry keeps the active stable
   artifact of each slot warm in-process plus a memory tier of every
   resolved version (identity ``slot@version``);
+* the store's ``manifest.json`` is the one copy of the routing: the
+  registry's per-slot views are what it last read, and every store
+  mutation is a locked read-modify-write of that file (see
+  :mod:`repro.store.store`), so registries in several processes never
+  drop each other's publishes;
 * cold demand single-flights: store load → legacy flat-file adoption →
   full fit (which publishes the result back to the store);
+  :meth:`ArtifactRegistry.preload` only registers an already-fitted
+  model and writes nothing;
 * :meth:`get` takes the query's content key and,
   when the slot has a live canary, route it over the
   :class:`~repro.serve.router.VersionRing` — N% of virtual ring points
   to the canary version.  ``serve.store.requests{version=...}``
   counters split traffic by version label;
-* :meth:`reload` re-reads the manifest and atomically swaps the active
+* :meth:`reload` reads the manifest once and atomically swaps the active
   version per slot — in-flight batches keep their old ``Artifact``
   references (hot-swap never drops work), and the per-version memory
   tier is invalidated per-artifact, never globally.
@@ -35,9 +42,8 @@ serving view over** :class:`repro.store.ArtifactStore`:
 from __future__ import annotations
 
 import asyncio
-import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.cache import AsyncSingleFlight, LRUCache
@@ -45,10 +51,16 @@ from repro.errors import ConfigurationError, ReproError
 from repro.machine.config import ClusterMode, MachineConfig, MemoryMode
 from repro.model.parameters import CapabilityModel
 from repro.obs import counter, span
-from repro.runtime.cache import cache_key, default_cache_dir
+from repro.runtime.cache import cache_key
 from repro.serve.protocol import ProtocolError, Response
 from repro.serve.router import VersionRing
-from repro.store import ArtifactStore, StoreError, VersionRecord
+from repro.store import (
+    ArtifactStore,
+    SlotState,
+    StoreError,
+    VersionRecord,
+    version_id_for,
+)
 from repro.store.records import LEGACY_ARTIFACT_SCHEMA_VERSION
 
 #: Schema of the *slot key* (and of the legacy flat artifact files the
@@ -183,8 +195,8 @@ class Artifact:
     #: "disk" (adopted legacy flat file), or "preload" (injected).
     source: str
     fit_seconds: float = 0.0
-    #: Store version id backing this artifact (``None`` for artifacts
-    #: that were injected without ever touching the store).
+    #: Store version id of this payload (``None`` when a fit's publish
+    #: failed).  A preload carries the id a publish would give it.
     version: Optional[str] = None
 
     @property
@@ -211,16 +223,10 @@ class _SlotView:
     ring: Optional[VersionRing] = None
 
     @classmethod
-    def from_state(cls, state) -> "_SlotView":
-        ring = None
-        if state.canary and state.canary_percent > 0:
-            ring = VersionRing(state.canary_percent)
-        return cls(
-            latest=state.latest,
-            canary=state.canary,
-            canary_percent=state.canary_percent,
-            ring=ring,
-        )
+    def from_state(cls, state: SlotState) -> "_SlotView":
+        live = state.canary and state.canary_percent > 0
+        ring = VersionRing(state.canary_percent) if live else None
+        return cls(state.latest, state.canary, state.canary_percent, ring)
 
 
 def _from_record(
@@ -247,19 +253,12 @@ class ArtifactRegistry:
         seed: int = 1234,
         directory: Optional[str] = None,
         persist: bool = True,
-        store: Optional[ArtifactStore] = None,
     ) -> None:
         if iterations < 1:
             raise ConfigurationError("artifact fit needs >= 1 iteration")
         self.iterations = iterations
         self.seed = seed
-        self.persist = persist
-        self.directory = directory or os.path.join(
-            default_cache_dir(), "serve", "artifacts"
-        )
-        self.store = store or ArtifactStore(
-            directory=self.directory, persist=persist
-        )
+        self.store = ArtifactStore(directory=directory, persist=persist)
         #: Active stable artifact per slot — the warm fast path.
         self._warm: Dict[str, Artifact] = {}
         #: Memory tier of every resolved version, by ``slot@version``
@@ -305,56 +304,30 @@ class ArtifactRegistry:
 
     def active_version(self, key: str) -> Optional[str]:
         """Version id the slot currently serves (``None`` = cold or
-        preloaded outside the store)."""
+        unversioned)."""
         artifact = self._warm.get(key)
         return artifact.version if artifact is not None else None
 
     # -- population ---------------------------------------------------------
 
     def preload(
-        self,
-        ref: MachineRef,
-        capability: CapabilityModel,
-        persist: bool = False,
+        self, ref: MachineRef, capability: CapabilityModel
     ) -> Artifact:
-        """Inject an already-fitted model (tests, forked fleet workers,
-        offline-fitted payloads).
-
-        The model is published into the store (so it has a version
-        identity and hot-swap semantics apply), but the version file
-        only reaches disk with ``persist=True`` — a fleet worker
-        injecting the parent's prefit must not re-write what the parent
-        already persisted.
-        """
-        artifact = Artifact(
-            key=self.key_for(ref),
-            ref=ref,
-            capability=capability,
-            source="preload",
-        )
-        return self._register(self._attach_version(artifact, persist))
-
-    def _attach_version(self, artifact: Artifact, persist: bool) -> Artifact:
-        """Publish an injected/fitted model and stamp its version id."""
-        try:
-            # The timestamp is publish metadata, outside the content id.
-            record = self.store.publish(
-                artifact.key,
-                artifact.capability.to_dict(),
-                # Serve-edge clock read; the store itself never looks.
-                timestamp=time.time(),
-                machine=artifact.machine,
-                iterations=self.iterations,
-                seed=self.seed,
-                fit_seconds=artifact.fit_seconds,
-                persist=persist,
+        """Register an already-fitted model as its slot's warm artifact
+        (tests, forked fleet workers).  Writes nothing to the store; the
+        version id is the one a publish of the payload gets.  When the
+        manifest routes the slot elsewhere (a fleet worker restarted
+        after v2 was published), the warm-hit check serves that."""
+        key = self.key_for(ref)
+        return self._register(
+            Artifact(
+                key=key,
+                ref=ref,
+                capability=capability,
+                source="preload",
+                version=version_id_for(key, capability.to_dict()),
             )
-        except (StoreError, OSError):
-            # A broken store must not break serving; the artifact just
-            # stays unversioned (no hot-swap for it).
-            counter("serve.store.publish_errors").inc()
-            return artifact
-        return replace(artifact, version=record.version_id)
+        )
 
     def _register(self, artifact: Artifact) -> Artifact:
         self._warm[artifact.key] = artifact
@@ -492,25 +465,22 @@ class ArtifactRegistry:
         compiled-plan cache upstream is untouched, and rendered-response
         slots self-invalidate because they key on ``Artifact.identity``.
         """
-        self.store.refresh()
         counter("serve.store.reloads").inc()
-        summary: Dict[str, Any] = {}
         known = set(self._views) | set(self._warm)
         try:
-            known.update(s.slot for s in self.store.slots())
-        except StoreError:
-            counter("serve.store.manifest_errors").inc()
-        for slot in sorted(known):
-            summary[slot] = self._reload_slot(slot)
-        return summary
-
-    def _reload_slot(self, slot: str) -> Dict[str, Any]:
-        try:
-            state = self.store.slot_state(slot)
-            view = _SlotView.from_state(state)
+            states = {s.slot: s for s in self.store.slots()}
         except StoreError as e:
             counter("serve.store.manifest_errors").inc()
-            return {"error": str(e)}
+            return {slot: {"error": str(e)} for slot in sorted(known)}
+        return {
+            slot: self._reload_slot(
+                slot, states.get(slot) or SlotState(slot=slot)
+            )
+            for slot in sorted(known | set(states))
+        }
+
+    def _reload_slot(self, slot: str, state: SlotState) -> Dict[str, Any]:
+        view = _SlotView.from_state(state)
         self._views[slot] = view
         entry: Dict[str, Any] = {
             "latest": view.latest[:12] if view.latest else None,
@@ -608,13 +578,30 @@ class ArtifactRegistry:
         ):
             capability, machine = ref.fit(self.iterations, self.seed)
         self._machines[key] = machine
-        artifact = Artifact(
+        fit_seconds = time.perf_counter() - t0
+        version = None
+        try:
+            # The timestamp is publish metadata, outside the content id.
+            version = self.store.publish(
+                key,
+                capability.to_dict(),
+                # Serve-edge clock read; the store itself never looks.
+                timestamp=time.time(),
+                machine=ref.name,
+                iterations=self.iterations,
+                seed=self.seed,
+                fit_seconds=fit_seconds,
+            ).version_id
+        except (StoreError, OSError):
+            # A broken store must not break serving; the artifact just
+            # stays unversioned (no hot-swap for it).
+            counter("serve.store.publish_errors").inc()
+        self._views.pop(key, None)  # the publish moved latest
+        return Artifact(
             key=key,
             ref=ref,
             capability=capability,
             source="fit",
-            fit_seconds=time.perf_counter() - t0,
+            fit_seconds=fit_seconds,
+            version=version,
         )
-        artifact = self._attach_version(artifact, persist=self.persist)
-        self._views.pop(key, None)  # the publish moved latest
-        return artifact

@@ -16,23 +16,27 @@ Per slot, the manifest tracks::
     tags            name -> version id pins (gc never collects these)
     history         stable lineage, oldest first (rollback walks it)
 
-Every mutation (publish / promote / rollback / tag / gc) rewrites the
-manifest atomically through :func:`repro.cache.atomic_write`, so a
-reader process — a fleet worker answering ``/v1/admin/reload`` —
-always sees either the old routing state or the new one, never a torn
-file.  Version records are content-addressed and immutable; only the
-manifest moves.
+``manifest.json`` is the one copy of the routing; no store object
+caches it.  Reads parse the file on every call without a lock: it is
+only ever replaced through :func:`repro.cache.atomic_write`, so a
+reader (a fleet worker answering ``/v1/admin/reload``) sees the old
+routing or the new one, never a torn file.  Every mutation (publish,
+legacy adoption, promote, rollback, tag, untag, gc) is one locked
+read-modify-write: it takes ``manifest.json.lock``, re-reads the file
+inside it and writes the result back, so writers in different
+processes never lose each other's updates.  Lock order: the manifest
+lock first, then the version tier's index lock.
 
-Version records live on the shared :class:`repro.cache.DiskTier`
-(``versions/``, with its file-locked LRU index at ``index.json``): a
-load buffers its touch, and each record write folds the touches in,
-reconciles the index against the directory and evicts past the byte
-cap in one locked index write.  Eviction keeps every version the
-on-disk manifest references plus the one being written, and a record
-is always written before the manifest that names it, so a crash at any
-write never leaves a dangling reference.  ``gc`` is eviction to 0
-bytes with the same keep set.  Records that never reach disk
-(``persist=False``) live in the memory tier.
+Version records are content-addressed and immutable, on the shared
+:class:`repro.cache.DiskTier` (``versions/``, its file-locked LRU index
+at ``index.json``): a load buffers its touch, and each record write
+folds the touches in, reconciles the index against the directory and
+evicts past the byte cap in one locked index write.  Eviction and
+``gc`` (eviction to 0 bytes) keep every version the manifest read
+inside the lock references, plus the one being written; a record is
+always written before the manifest that names it, so a crash at any
+write never leaves a dangling reference.  A ``persist=False`` store
+keeps its routing and records in memory, behind the same path.
 
 Determinism: this module is in the lint's DET scope and never reads
 the wall clock.  Publish timestamps and LRU touch times are passed in
@@ -41,13 +45,16 @@ by the caller (the CLI and serve layers read the clock at their edge).
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import json
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.cache import DiskTier, atomic_write, default_cache_dir
+from repro.cache import DiskTier, FileLock, atomic_write, default_cache_dir
+from repro.cache.keys import sweep_temps
 from repro.errors import ConfigurationError
 from repro.obs import counter
 from repro.store.records import (
@@ -96,13 +103,8 @@ class SlotState:
 
 
 def _empty_slot_doc() -> Dict[str, Any]:
-    return {
-        "latest": None,
-        "canary": None,
-        "canary_percent": 0.0,
-        "tags": {},
-        "history": [],
-    }
+    return {"latest": None, "canary": None, "canary_percent": 0.0,
+            "tags": {}, "history": []}
 
 
 class ArtifactStore:
@@ -127,8 +129,7 @@ class ArtifactStore:
         )
         self.versions_dir = os.path.join(self.directory, _VERSIONS)
         self.persist = persist
-        self.max_bytes = max_bytes
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # guards the memory-only state
         #: Disk tier of version records, its index at the store root;
         #: the caller's timestamps are its only clock.
         self._tier: Optional[DiskTier] = None
@@ -137,13 +138,11 @@ class ArtifactStore:
                 self.versions_dir, name="store.disk", max_bytes=max_bytes,
                 index_dir=self.directory, clock=None,
             )
-        #: Memory tier: version id -> record, for records that never
-        #: reach disk (``persist=False`` stores and publishes).
+        self._manifest_lock = FileLock(self._manifest_path() + ".lock")
+        #: ``persist=False`` only: routing (slot docs) and records.  A
+        #: persisting store keeps neither; ``manifest.json`` is its routing.
+        self._mem_slots: Dict[str, Dict[str, Any]] = {}
         self._mem: Dict[str, VersionRecord] = {}
-        #: Cached manifest slots (raw docs); ``None`` = not loaded yet.
-        #: :meth:`refresh` drops the cache so reload picks up publishes
-        #: from other processes.
-        self._slots: Optional[Dict[str, Dict[str, Any]]] = None
 
     # -- paths --------------------------------------------------------------
 
@@ -155,66 +154,61 @@ class ArtifactStore:
 
     # -- manifest -----------------------------------------------------------
 
-    def _load_slots(self) -> Dict[str, Dict[str, Any]]:
-        """The mutable slot docs (callers hold ``self._lock``)."""
-        if self._slots is not None:
-            return self._slots
-        slots: Dict[str, Dict[str, Any]] = {}
+    def _read_slots(self) -> Dict[str, Dict[str, Any]]:
+        """The slot docs as the manifest holds them now.  Lock-free: the
+        file is only ever replaced atomically, so this sees either the
+        old routing or the new one."""
+        if not self.persist:
+            with self._lock:
+                return copy.deepcopy(self._mem_slots)
         path = self._manifest_path()
-        if self.persist and os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    payload = json.load(fh)
-            except (OSError, ValueError) as e:
-                raise StoreError(f"manifest is unreadable: {e}") from e
-            schema = payload.get("schema_version")
-            if schema != MANIFEST_SCHEMA_VERSION:
-                raise StoreError(
-                    f"manifest has schema_version {schema!r}, this build "
-                    f"supports {MANIFEST_SCHEMA_VERSION} — upgrade repro "
-                    f"before touching this store"
-                )
-            for slot, doc in payload.get("slots", {}).items():
-                merged = _empty_slot_doc()
-                merged.update(doc)
-                slots[slot] = merged
-        self._slots = slots
-        return slots
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except FileNotFoundError:
+            return {}
+        except (OSError, ValueError) as e:
+            raise StoreError(f"manifest is unreadable: {e}") from e
+        schema = payload.get("schema_version")
+        if schema != MANIFEST_SCHEMA_VERSION:
+            raise StoreError(
+                f"manifest has schema_version {schema!r}, this build "
+                f"supports {MANIFEST_SCHEMA_VERSION} — upgrade repro "
+                f"before touching this store"
+            )
+        return payload.get("slots", {})
 
-    def _write_manifest(self) -> None:
-        if not self.persist or self._slots is None:
+    @contextlib.contextmanager
+    def _edit(self) -> Iterator[Dict[str, Dict[str, Any]]]:
+        """One read-modify-write of the routing: yields the slot docs,
+        re-read inside ``manifest.json.lock``, to mutate in place, and
+        writes them back if they changed (nothing if the body raises).
+        The tier's put/evict take the index lock inside this one; the
+        lock is not re-entrant, so no mutator calls another."""
+        if not self.persist:
+            with self._lock:
+                yield self._mem_slots
             return
-        atomic_write(
-            self._manifest_path(),
-            json.dumps(
-                {
-                    "schema_version": MANIFEST_SCHEMA_VERSION,
-                    "slots": self._slots,
-                },
-                indent=2,
-                sort_keys=True,
-            ).encode(),
-        )
-
-    def refresh(self) -> None:
-        """Drop the cached manifest; the next read sees other
-        processes' publishes.  The memory tier survives (records are
-        immutable and content-addressed)."""
-        with self._lock:
-            if self.persist:
-                self._slots = None
+        with self._manifest_lock:
+            sweep_temps(self.directory, _MANIFEST)
+            slots = self._read_slots()
+            before = copy.deepcopy(slots)
+            yield slots
+            if slots != before:
+                doc = {"schema_version": MANIFEST_SCHEMA_VERSION,
+                       "slots": slots}
+                blob = json.dumps(doc, indent=2, sort_keys=True).encode()
+                atomic_write(self._manifest_path(), blob)
 
     def slots(self) -> List[SlotState]:
-        with self._lock:
-            docs = self._load_slots()
-            return [self._state(slot, docs[slot]) for slot in sorted(docs)]
+        docs = self._read_slots()
+        return [self._state(slot, docs[slot]) for slot in sorted(docs)]
 
     def slot_state(self, slot: str) -> SlotState:
-        with self._lock:
-            doc = self._load_slots().get(slot)
-            if doc is None:
-                return SlotState(slot=slot)
-            return self._state(slot, doc)
+        doc = self._read_slots().get(slot)
+        if doc is None:
+            return SlotState(slot=slot)
+        return self._state(slot, doc)
 
     @staticmethod
     def _state(slot: str, doc: Dict[str, Any]) -> SlotState:
@@ -229,8 +223,7 @@ class ArtifactStore:
 
     def resolve_slot(self, prefix: str) -> str:
         """Expand a unique slot prefix (CLI convenience)."""
-        with self._lock:
-            docs = self._load_slots()
+        docs = self._read_slots()
         if prefix in docs:
             return prefix
         matches = sorted(s for s in docs if s.startswith(prefix))
@@ -261,7 +254,6 @@ class ArtifactStore:
         fit_seconds: float = 0.0,
         notes: Optional[str] = None,
         canary_percent: Optional[float] = None,
-        persist: Optional[bool] = None,
     ) -> VersionRecord:
         """Publish one payload into ``slot`` and atomically reroute.
 
@@ -272,22 +264,14 @@ class ArtifactStore:
         version dedups to the same version id — the publish is a
         routing-only update (``store.publishes.deduped``), which is
         also what makes concurrent identical publishes single-flight.
-
-        ``persist=False`` overrides the store default for this call:
-        nothing is written to disk (fleet workers injecting their
-        forked warm model use this; the parent already persisted it).
         """
         if canary_percent is not None and not (0 <= canary_percent <= 100):
             raise StoreError(
                 f"canary_percent must be within [0, 100], "
                 f"got {canary_percent!r}"
             )
-        do_persist = self.persist if persist is None else (
-            persist and self.persist
-        )
         vid = version_id_for(slot, capability)
-        with self._lock:
-            docs = self._load_slots()
+        with self._edit() as docs:
             doc = docs.setdefault(slot, _empty_slot_doc())
             existing = self._get_record(vid)
             if existing is not None:
@@ -312,10 +296,7 @@ class ArtifactStore:
                     notes=notes,
                 )
                 counter("store.publishes").inc()
-                if do_persist:
-                    self._write_record(record, docs, timestamp)
-                else:
-                    self._mem[vid] = record
+                self._write_record(record, docs, timestamp)
             if canary_percent is not None and canary_percent > 0:
                 doc["canary"] = vid
                 doc["canary_percent"] = float(canary_percent)
@@ -325,8 +306,6 @@ class ArtifactStore:
                     doc["canary"] = None
                     doc["canary_percent"] = 0.0
                 self._append_history(doc, vid)
-            if do_persist:
-                self._write_manifest()
         return record
 
     def load(
@@ -339,8 +318,7 @@ class ArtifactStore:
         resident under the byte cap.
         Unknown ids and future-schema files raise :class:`StoreError`.
         """
-        with self._lock:
-            record = self._get_record(version_id, touch_at=touch_at)
+        record = self._get_record(version_id, touch_at=touch_at)
         if record is None:
             raise StoreError(
                 f"unknown artifact version {version_id[:16]!r} "
@@ -351,13 +329,13 @@ class ArtifactStore:
     def _get_record(
         self, version_id: str, touch_at: Optional[float] = None
     ) -> Optional[VersionRecord]:
-        """Lookup under ``self._lock``; None when nowhere to be found."""
-        record = self._mem.get(version_id)
-        if record is not None:
-            counter("store.loads.mem").inc()
-            return record
+        """The record from whichever tier this store keeps; None when
+        it is not there."""
         if self._tier is None:
-            return None
+            record = self._mem.get(version_id)
+            if record is not None:
+                counter("store.loads.mem").inc()
+            return record
         blob = self._tier.get(version_id, atime=touch_at)
         if blob is None:
             return None
@@ -374,9 +352,13 @@ class ArtifactStore:
         self, record: VersionRecord, docs: Dict[str, Dict[str, Any]],
         timestamp: float,
     ) -> None:
-        """Write one record before the manifest names it.  ``docs`` is
-        still the routing the on-disk manifest holds, so the tier's
-        eviction spares what it references plus the new record."""
+        """Store one record before the manifest names it.  ``docs`` is
+        the routing read inside the manifest lock, still as the file
+        holds it, so the tier's eviction spares what it references plus
+        the new record."""
+        if self._tier is None:
+            self._mem[record.version_id] = record
+            return
         blob = json.dumps(
             record.to_dict(), indent=2, sort_keys=True
         ).encode()
@@ -404,8 +386,7 @@ class ArtifactStore:
             record = record_from_dict(payload, slot=slot)
         except (OSError, ValueError, StoreError):
             return None
-        with self._lock:
-            docs = self._load_slots()
+        with self._edit() as docs:
             doc = docs.setdefault(slot, _empty_slot_doc())
             vid = record.version_id
             if self._get_record(vid) is None:
@@ -414,7 +395,6 @@ class ArtifactStore:
             if doc.get("latest") is None:
                 doc["latest"] = vid
                 self._append_history(doc, vid)
-            self._write_manifest()
         return record
 
     @staticmethod
@@ -426,13 +406,17 @@ class ArtifactStore:
 
     # -- routing mutations ---------------------------------------------------
 
+    @staticmethod
+    def _doc(docs: Dict[str, Dict[str, Any]], slot: str) -> Dict[str, Any]:
+        doc = docs.get(slot)
+        if doc is None:
+            raise StoreError(f"unknown slot {slot[:16]!r}")
+        return doc
+
     def promote(self, slot: str) -> SlotState:
         """Canary graduates to ``latest``; the canary slice clears."""
-        with self._lock:
-            docs = self._load_slots()
-            doc = docs.get(slot)
-            if doc is None:
-                raise StoreError(f"unknown slot {slot[:16]!r}")
+        with self._edit() as docs:
+            doc = self._doc(docs, slot)
             vid = doc.get("canary")
             if not vid:
                 raise StoreError(
@@ -443,7 +427,6 @@ class ArtifactStore:
             doc["canary_percent"] = 0.0
             self._append_history(doc, vid)
             counter("store.promotes").inc()
-            self._write_manifest()
             return self._state(slot, doc)
 
     def rollback(self, slot: str) -> SlotState:
@@ -454,11 +437,8 @@ class ArtifactStore:
         (the abandoned head leaves the history and becomes gc-able).
         At the root of history there is nothing to roll back to.
         """
-        with self._lock:
-            docs = self._load_slots()
-            doc = docs.get(slot)
-            if doc is None:
-                raise StoreError(f"unknown slot {slot[:16]!r}")
+        with self._edit() as docs:
+            doc = self._doc(docs, slot)
             if doc.get("canary"):
                 doc["canary"] = None
                 doc["canary_percent"] = 0.0
@@ -472,36 +452,27 @@ class ArtifactStore:
                 history.pop()
                 doc["latest"] = history[-1]
             counter("store.rollbacks").inc()
-            self._write_manifest()
             return self._state(slot, doc)
 
     def tag(self, slot: str, name: str, version_id: str) -> SlotState:
         """Pin ``version_id`` under ``name`` (gc never collects pins)."""
-        with self._lock:
-            docs = self._load_slots()
-            doc = docs.get(slot)
-            if doc is None:
-                raise StoreError(f"unknown slot {slot[:16]!r}")
+        with self._edit() as docs:
+            doc = self._doc(docs, slot)
             if self._get_record(version_id) is None:
                 raise StoreError(
                     f"unknown artifact version {version_id[:16]!r}"
                 )
             doc.setdefault("tags", {})[name] = version_id
-            self._write_manifest()
             return self._state(slot, doc)
 
     def untag(self, slot: str, name: str) -> SlotState:
-        with self._lock:
-            docs = self._load_slots()
-            doc = docs.get(slot)
-            if doc is None:
-                raise StoreError(f"unknown slot {slot[:16]!r}")
+        with self._edit() as docs:
+            doc = self._doc(docs, slot)
             if name not in (doc.get("tags") or {}):
                 raise StoreError(
                     f"slot {slot[:16]} has no tag {name!r}"
                 )
             del doc["tags"][name]
-            self._write_manifest()
             return self._state(slot, doc)
 
     # -- space management ----------------------------------------------------
@@ -518,10 +489,10 @@ class ArtifactStore:
         Unlike cap eviction (which stops at the byte cap), gc prunes
         *all* unreferenced versions — rolled-back heads, trimmed
         history, orphan files from deleted slots: it evicts to 0 bytes,
-        keeping what the manifest references.
+        keeping what the manifest references inside the manifest lock.
         """
-        with self._lock:
-            referenced = self._referenced(self._load_slots())
+        with self._edit() as docs:
+            referenced = self._referenced(docs)
             sizes = self._sizes()
             removed = sorted((set(sizes) | set(self._mem)) - referenced)
             if self._tier is not None:

@@ -20,14 +20,19 @@ Two checks, both run against one shared cache directory:
 Worker entry points are module-level so the spawn start method can
 pickle them (spawn, not fork: it exercises genuinely independent
 processes and matches how the prefork fleet launches workers).
+
+:func:`run_until_replace` is the crash harness of the store and
+result-cache tests: it runs a workload in a forked child killed at its
+n-th ``os.replace``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from repro.cache.disk import DiskTier
 from repro.cache.index import INDEX_NAME
@@ -131,3 +136,38 @@ def stress_churn(
     _run_workers(_churn_worker, directory, procs, items, cap, blob_size)
     DiskTier(directory, name="stress", max_bytes=cap).evict()
     return _audit(directory, cap)
+
+
+def run_until_replace(n: int, workload: Callable, *args) -> int:
+    """Run ``workload(*args)`` in a forked child that exits 137 (as if
+    SIGKILLed) at its n-th ``os.replace``; return the child's exit
+    code, 0 when the workload makes fewer than n replaces."""
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child never returns
+        code = 1
+        try:
+            calls = itertools.count(1)
+            real_replace = os.replace
+
+            def replace(src, dst):
+                if next(calls) == n:
+                    os._exit(137)
+                real_replace(src, dst)
+
+            os.replace = replace
+            workload(*args)
+            code = 0
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status)
+
+
+def temp_files(directory: str) -> List[str]:
+    """Every ``.tmp`` file under ``directory``, sorted."""
+    return sorted(
+        os.path.join(root, name)
+        for root, _dirs, names in os.walk(directory)
+        for name in names
+        if name.endswith(".tmp")
+    )

@@ -230,7 +230,12 @@ class TestRegistryMachineIdentity:
     ):
         rm = get_machine("knl-7250")
         writer = ArtifactRegistry(directory=str(tmp_path), persist=True)
-        writer.preload(MachineRef.of(rm), capability, persist=True)
+        writer.store.publish(
+            writer.key_for(MachineRef.of(rm)),
+            capability.to_dict(),
+            timestamp=0.0,
+            machine=rm.name,
+        )
         reader = ArtifactRegistry(directory=str(tmp_path), persist=True)
 
         async def go():

@@ -23,6 +23,7 @@ from repro.runtime.cache import (
     default_cache_dir,
     fingerprint,
 )
+from tests.cache_stress import run_until_replace, temp_files
 
 
 def _result(exp_id="x", val=1.25):
@@ -181,6 +182,54 @@ class TestResultCache:
             again = ResultCache(cache_dir).get(key)
             assert again is not None
             assert again.to_json() == first.to_json()
+
+
+#: Small enough that six results cannot all stay: the workload evicts.
+CRASH_CAP = 1200
+CRASH_ITEMS = 6
+
+
+def _result_cache_workload(directory):
+    """Puts past the byte cap, warm gets, a re-put and a flush."""
+    cache = ResultCache(directory, max_bytes=CRASH_CAP)
+    for i in range(CRASH_ITEMS):
+        cache.put(cache.key_for("x", {"i": i}), _result(val=float(i)))
+    cache.get(cache.key_for("x", {"i": CRASH_ITEMS - 1}))
+    cache.get(cache.key_for("x", {"i": 0}))
+    cache.put(cache.key_for("x", {"i": 1}), _result(val=1.0))
+    cache.flush()
+
+
+class TestResultCacheCrashConsistency:
+    """A result cache killed at any atomic replace stays consistent."""
+
+    def check(self, directory):
+        cache = ResultCache(directory, max_bytes=CRASH_CAP)
+        for i in range(CRASH_ITEMS):
+            hit = cache.get(cache.key_for("x", {"i": i}))
+            assert hit is None or hit.to_json() == _result(
+                val=float(i)
+            ).to_json()
+        cache.put(cache.key_for("x", {"i": 99}), _result(val=99.0))
+        cache.flush()
+        with open(os.path.join(cache.directory, "index.json")) as fh:
+            assert set(json.load(fh)) == set(cache.keys())
+        assert temp_files(directory) == [], "a dead writer's temp file"
+
+    def test_a_crash_at_every_replace_leaves_a_consistent_cache(
+        self, tmp_path
+    ):
+        for n in range(1, 100):
+            directory = str(tmp_path / f"crash-{n}")
+            code = run_until_replace(n, _result_cache_workload, directory)
+            if code == 0:
+                break
+            assert code == 137, f"the workload failed before replace {n}"
+            self.check(directory)
+        else:
+            pytest.fail("the workload made 100 or more replaces")
+        # Seven blob writes, each followed by one index write.
+        assert n > 14, n
 
 
 class TestCharacterizationCache:

@@ -569,8 +569,8 @@ def two_version_store(tmp_path, snc4_flat_config, capability):
 
     store_dir = str(tmp_path / "artifacts")
     parent = ArtifactRegistry(directory=store_dir, persist=True)
-    parent.preload(MachineRef(snc4_flat_config), capability, persist=True)
     slot = parent.key_for(MachineRef(snc4_flat_config))
+    parent.store.publish(slot, capability.to_dict(), timestamp=0.0)
     v2_payload = capability.to_dict()
     v2_payload["r_local"] = v2_payload["r_local"] + 1.0
     fleet = make_fleet(

@@ -6,8 +6,8 @@ serve-layer integration (hot swap, canary routing over HTTP) lives in
 ``test_store_serve.py``.
 """
 
-import itertools
 import json
+import multiprocessing
 import os
 import pathlib
 import shutil
@@ -303,14 +303,13 @@ class TestPersistence:
         assert record.capability == PAYLOAD_A
         assert record.machine == "knl-7250"
 
-    def test_refresh_sees_another_processes_publish(self, tmp_path):
+    def test_a_second_store_sees_a_publish_at_once(self, tmp_path):
         a, b = store_at(tmp_path), store_at(tmp_path)
         a.publish("slot-a", PAYLOAD_A, timestamp=1.0)
         assert b.slot_state("slot-a").latest is not None  # first read
         v2 = a.publish("slot-a", PAYLOAD_B, timestamp=2.0)
-        # b's manifest cache is stale until refresh().
-        assert b.slot_state("slot-a").latest != v2.version_id
-        b.refresh()
+        # No call in between: the manifest is b's only copy of the
+        # routing, so its next read sees a's publish.
         assert b.slot_state("slot-a").latest == v2.version_id
 
     def test_future_manifest_schema_is_rejected_by_name(self, tmp_path):
@@ -341,6 +340,74 @@ class TestPersistence:
     def test_rejects_nonsense_byte_cap(self, tmp_path):
         with pytest.raises(ConfigurationError):
             store_at(tmp_path, max_bytes=0)
+
+
+def _publish_slots(directory, prefix, barrier, count):
+    """Forked publisher: read the manifest, wait for the other writer
+    to have read it too, then publish ``count`` slots."""
+    store = ArtifactStore(directory=directory)
+    store.slots()
+    barrier.wait(timeout=60)
+    for i in range(count):
+        store.publish(
+            f"{prefix}-{i}",
+            {"config_label": prefix, "r_local": float(i)},
+            timestamp=float(i),
+        )
+
+
+class TestConcurrentPublishers:
+    """Writers that read the manifest before another writer's publish
+    never drop or collect what that writer routed."""
+
+    def test_two_processes_publish_different_slots(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        procs = [
+            ctx.Process(
+                target=_publish_slots,
+                args=(str(tmp_path), prefix, barrier, 6),
+                daemon=True,
+            )
+            for prefix in ("slot-a", "slot-b")
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        with open(tmp_path / "manifest.json") as fh:
+            routed = set(json.load(fh)["slots"])
+        assert routed == {
+            f"{prefix}-{i}" for prefix in ("slot-a", "slot-b")
+            for i in range(6)
+        }
+        fresh = store_at(tmp_path)
+        for state in fresh.slots():
+            fresh.load(state.latest)
+
+    def test_two_stores_that_read_the_empty_manifest_both_land(
+        self, tmp_path
+    ):
+        a, b = store_at(tmp_path), store_at(tmp_path)
+        assert a.slots() == [] and b.slots() == []
+        a.publish("slot-a", PAYLOAD_A, timestamp=1.0)
+        b.publish("slot-b", PAYLOAD_B, timestamp=2.0)
+        with open(tmp_path / "manifest.json") as fh:
+            assert set(json.load(fh)["slots"]) == {"slot-a", "slot-b"}
+
+    def test_gc_after_another_stores_publish_keeps_its_version(
+        self, tmp_path
+    ):
+        stale = store_at(tmp_path)
+        stale.publish("slot-a", PAYLOAD_A, timestamp=1.0)
+        assert [s.slot for s in stale.slots()] == ["slot-a"]
+        v_b = store_at(tmp_path).publish("slot-b", PAYLOAD_B, timestamp=2.0)
+        stale.gc()
+        fresh = store_at(tmp_path)
+        latest = fresh.slot_state("slot-b").latest
+        assert latest == v_b.version_id
+        assert fresh.load(latest).capability == PAYLOAD_B
 
 
 class TestLegacyAdoption:
@@ -611,31 +678,6 @@ def _store_workload(directory, max_bytes):
     store.gc()
 
 
-def _run_until_replace(directory, max_bytes, n):
-    """Run the workload in a forked child that exits 137 (as if
-    SIGKILLed) at its n-th ``os.replace``; return the child's exit
-    code, 0 when the workload makes fewer than n replaces."""
-    pid = os.fork()
-    if pid == 0:  # pragma: no cover - the child never returns
-        code = 1
-        try:
-            calls = itertools.count(1)
-            real_replace = os.replace
-
-            def replace(src, dst):
-                if next(calls) == n:
-                    os._exit(137)
-                real_replace(src, dst)
-
-            os.replace = replace
-            _store_workload(directory, max_bytes)
-            code = 0
-        finally:
-            os._exit(code)
-    _, status = os.waitpid(pid, 0)
-    return os.waitstatus_to_exitcode(status)
-
-
 class TestCrashConsistency:
     """A store killed at any atomic replace stays consistent."""
 
@@ -648,6 +690,8 @@ class TestCrashConsistency:
         }
 
     def check(self, directory, max_bytes):
+        from tests.cache_stress import temp_files
+
         store = ArtifactStore(directory=directory, max_bytes=max_bytes)
         for state in store.slots():
             for vid in state.referenced():
@@ -661,14 +705,17 @@ class TestCrashConsistency:
         assert files <= referenced, "gc left an unreferenced version"
         with open(os.path.join(directory, "index.json")) as fh:
             assert set(json.load(fh)) == files, "index out of step"
+        assert temp_files(directory) == [], "a dead writer's temp file"
 
     @pytest.mark.parametrize("max_bytes", [1, DEFAULT_STORE_MAX_BYTES])
     def test_a_crash_at_every_replace_leaves_a_consistent_store(
         self, tmp_path, max_bytes
     ):
+        from tests.cache_stress import run_until_replace
+
         for n in range(1, 200):
             directory = str(tmp_path / f"crash-{n}")
-            code = _run_until_replace(directory, max_bytes, n)
+            code = run_until_replace(n, _store_workload, directory, max_bytes)
             if code == 0:
                 break
             assert code == 137, f"the workload failed before replace {n}"

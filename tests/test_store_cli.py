@@ -124,12 +124,10 @@ class TestRoutingCommands:
 
         # Prefix resolution: "dem" is unique.
         assert cli(store_dir, "promote", "dem") == 0
-        store.refresh()
         state = store.slot_state("demo")
         assert state.latest == v2 and state.canary is None
 
         assert cli(store_dir, "rollback", "demo") == 0
-        store.refresh()
         assert store.slot_state("demo").latest == v1
 
     def test_promote_without_canary_exits_2(

@@ -47,11 +47,20 @@ def variant_payload(capability, delta):
     return doc
 
 
+def seeded(directory, ref, capability):
+    """A persisting registry whose store has ``capability`` published
+    as the slot's latest, warm with that same model."""
+    registry = ArtifactRegistry(directory=directory, persist=True)
+    registry.store.publish(
+        registry.key_for(ref), capability.to_dict(), timestamp=0.0
+    )
+    registry.preload(ref, capability)
+    return registry
+
+
 @pytest.fixture()
 def registry(tmp_path, snc4_flat_config, capability):
-    registry = ArtifactRegistry(directory=str(tmp_path), persist=True)
-    registry.preload(MachineRef(snc4_flat_config), capability, persist=True)
-    return registry
+    return seeded(str(tmp_path), MachineRef(snc4_flat_config), capability)
 
 
 def serve(registry, client_coro_factory):
@@ -216,8 +225,9 @@ class TestCanaryRouting:
     ):
         """A canary that cannot load serves stable, never a 500 — a bad
         canary must not take down the slot."""
-        seeder = ArtifactRegistry(directory=str(tmp_path), persist=True)
-        seeder.preload(MachineRef(snc4_flat_config), capability, persist=True)
+        seeder = seeded(
+            str(tmp_path), MachineRef(snc4_flat_config), capability
+        )
         slot = seeder.key_for(MachineRef(snc4_flat_config))
         rec = seeder.store.publish(
             slot,
@@ -231,9 +241,7 @@ class TestCanaryRouting:
         with open(path, "w") as fh:
             fh.write("{torn write")
         registry = ArtifactRegistry(directory=str(tmp_path), persist=True)
-        registry.preload(
-            MachineRef(snc4_flat_config), capability, persist=False
-        )
+        registry.preload(MachineRef(snc4_flat_config), capability)
 
         async def client(host, port):
             return [
@@ -284,13 +292,32 @@ class TestCanaryRouting:
 
 
 class TestColdStart:
+    def test_a_preload_of_v1_serves_the_routed_v2(
+        self, tmp_path, snc4_flat_config, capability
+    ):
+        """A fleet worker restarted after v2 was published preloads its
+        parent's boot-time v1; it serves what the manifest routes."""
+        ref = MachineRef(snc4_flat_config)
+        seeder = seeded(str(tmp_path), ref, capability)
+        slot = seeder.key_for(ref)
+        v2 = seeder.store.publish(
+            slot, variant_payload(capability, 1.0), timestamp=1.0
+        )
+        worker = ArtifactRegistry(directory=str(tmp_path), persist=True)
+        worker.preload(ref, capability)
+        artifact = run(worker.get(ref))
+        assert artifact.version == v2.version_id
+        assert artifact.capability.RL == pytest.approx(capability.RL + 1.0)
+        assert worker.store.slot_state(slot).latest == v2.version_id
+
     def test_a_cold_registry_serves_the_published_latest(
         self, tmp_path, snc4_flat_config, capability
     ):
         """A fresh process with an empty warm set resolves the slot from
         the store — no fit on the request path."""
-        seeder = ArtifactRegistry(directory=str(tmp_path), persist=True)
-        seeder.preload(MachineRef(snc4_flat_config), capability, persist=True)
+        seeder = seeded(
+            str(tmp_path), MachineRef(snc4_flat_config), capability
+        )
         cold = ArtifactRegistry(directory=str(tmp_path), persist=True)
         artifact = run(cold.get(MachineRef(snc4_flat_config)))
         assert artifact.source == "store"
